@@ -1,6 +1,6 @@
 """repro — reproduction of "Low-Rank Compression for IMC Arrays" (DATE 2025).
 
-The package is organized by subsystem (see DESIGN.md for the full inventory):
+The package is organized by subsystem (see ENGINE.md for the full inventory):
 
 * :mod:`repro.nn`           — numpy autograd framework, layers, optimizers, models,
 * :mod:`repro.mapping`      — im2col / SDK / VW-SDK weight mapping and the AR/AC cycle model,

@@ -513,7 +513,7 @@ def using_backend(spec: Union[str, Backend, None]) -> Iterator[Backend]:
     """Scope a default backend: constructions inside resolve to ``spec``.
 
     ``None`` is a no-op scope (the surrounding default stays active), which
-    lets every harness accept ``backend=None`` and simply wrap its body.
+    lets a runner accept ``backend=None`` and simply wrap its body.
     The scope is process-wide — worker threads a wrapped sweep spawns see it
     — so do not open scopes naming *different* backends concurrently from
     separate threads (see the ``_SCOPES`` note above).

@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--trials", type=int, default=8,
-        help="Monte-Carlo trial count of the robustness scenario sweep",
+        help="Monte-Carlo trial count of the robustness and layer-families sweeps",
     )
     report.add_argument(
         "--shard", type=str, default="", metavar="K/N",

@@ -1,11 +1,12 @@
 """Experiment layer: sweep registry, parallel + incremental sweep mapping.
 
-Instead of five harnesses each re-wiring mapping + decomposition + simulation
-by hand, every paper artefact (Table I, Figs. 6–9) registers an
-:class:`ExperimentSpec` describing how to run, format and serialize itself.
-The registry-based runner (:func:`run_experiments`) executes the registered
-sweeps through the shared engine — optionally in parallel via
-:mod:`concurrent.futures` — and :func:`to_jsonable` turns any result
+Every paper artefact (Table I, Figs. 6–9 and the robustness and
+layer-families sweeps) registers an :class:`ExperimentSpec` declaring its
+grid, cell function, cell key and assembly; :meth:`ExperimentSpec.run` is the
+one driver that executes any of them — serial or thread pool, storeless or
+incremental, one shard, or worker processes.  :func:`run_experiments` runs
+several registered experiments, optionally concurrently via
+:mod:`concurrent.futures`, and :func:`to_jsonable` turns any result
 dataclass tree into machine-readable JSON for the report emitter.
 
 With a :class:`SweepCache` (an :class:`repro.store.ExperimentStore` plus the
@@ -20,6 +21,7 @@ without coordinating beyond the shared store).
 
 from __future__ import annotations
 
+import inspect
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -43,23 +45,99 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registered paper artefact: how to run, format and serialize it.
+    """One registered paper artefact, declared as a grid of store-keyed cells.
 
-    ``runner`` accepts the sweep keyword arguments of the harness (each
-    harness keeps its historical signature); ``formatter`` renders a result to
-    the plain-text report block (``formatter(result, include_plots=False)``);
-    ``serializer`` converts a result to a JSON-able structure (defaults to
-    :func:`to_jsonable`).
+    A harness declares *what* it computes; :meth:`run` is the one driver that
+    decides *how* (serial or thread pool, storeless or incremental, one shard,
+    or worker processes):
+
+    * ``kind`` — the store artifact family of one cell (e.g. ``fig6/panel``);
+    * ``grid(**params)`` — the sweep points of one run.  Its signature
+      declares the harness's science parameters and their defaults, and it
+      validates them, so a bad argument fails in the calling process before
+      any worker spawns;
+    * ``cell(*point)`` — computes one grid cell;
+    * ``cell_key(*point)`` — the canonical configuration the cell's store
+      fingerprint hashes;
+    * ``result_type`` — the type one stored cell decodes back into;
+    * ``assemble(cells, /, **params)`` — the result from the cells (in grid
+      order) and the run's parameters (``cells`` positional-only, so a
+      parameter may share its name);
+    * ``formatter(result, include_plots=False)`` renders the report block and
+      ``serializer`` (default :func:`to_jsonable`) the JSON document;
+    * ``warm(**params)`` (optional) fills shared caches serially before a
+      thread-pool run, so concurrent cells read them instead of racing.
     """
 
     name: str
     title: str
-    runner: Callable[..., Any]
+    kind: str
+    grid: Callable[..., Sequence[Tuple[Any, ...]]]
+    cell: Callable[..., Any]
+    cell_key: Callable[..., Mapping[str, Any]]
+    result_type: Any
+    assemble: Callable[..., Any]
     formatter: Callable[..., str]
-    serializer: Callable[[Any], Any] = None  # type: ignore[assignment]
+    serializer: Optional[Callable[[Any], Any]] = None
+    warm: Optional[Callable[..., None]] = None
 
-    def run(self, **overrides: Any) -> Any:
-        return self.runner(**overrides)
+    def params(self, **overrides: Any) -> Dict[str, Any]:
+        """The science parameters of one run: ``overrides`` over the grid's defaults."""
+        bound = inspect.signature(self.grid).bind(**overrides)
+        bound.apply_defaults()
+        return dict(bound.arguments)
+
+    def run(
+        self,
+        *,
+        parallel: bool = False,
+        max_workers: Optional[int] = None,
+        store: Optional[ExperimentStore] = None,
+        shard: Optional[Tuple[int, int]] = None,
+        workers: Optional[int] = None,
+        **overrides: Any,
+    ) -> Any:
+        """Run the experiment over its grid; ``overrides`` are science parameters.
+
+        ``parallel``/``max_workers`` compute the cells in a thread pool.  With
+        ``store`` the sweep is incremental (cells already materialized are
+        decoded, fresh ones persisted); with ``shard=(k, n)`` only the cells
+        shard ``k`` owns are computed and a :class:`ShardStats` summary is
+        returned instead of a result.  ``workers > 1`` (default
+        ``$REPRO_WORKERS``) computes the grid in worker processes with
+        store-shard work stealing (:mod:`repro.parallel`) and assembles it
+        from the store, byte-identical to a serial run.  The execution
+        backend is the caller's ``using_backend`` scope.
+        """
+        params = self.params(**overrides)
+        points = self.grid(**params)  # validates the parameters before any worker spawns
+        from ..parallel import resolve_workers
+
+        if shard is None and resolve_workers(workers) > 1:
+            from ..parallel import run_experiments_parallel
+
+            results = run_experiments_parallel(
+                [self.name], {self.name: overrides}, store=store, workers=workers
+            )
+            return results[self.name]
+        cache = (
+            SweepCache(store, self.kind, self.cell_key, self.result_type)
+            if store is not None
+            else None
+        )
+        if parallel and self.warm is not None:
+            self.warm(**params)
+        cells = map_sweep(
+            self.cell,
+            points,
+            parallel=parallel,
+            max_workers=max_workers,
+            cache=cache,
+            shard=shard,
+        )
+        if shard is not None:
+            return cells
+        return self.assemble(cells, **params)
 
     def format(self, result: Any, include_plots: bool = False) -> str:
         return self.formatter(result, include_plots=include_plots)
@@ -69,7 +147,6 @@ class ExperimentSpec:
         return serializer(result)
 
 
-#: Registration order doubles as report order.
 _REGISTRY: Dict[str, ExperimentSpec] = {}
 
 
@@ -80,7 +157,8 @@ def register_experiment(spec: ExperimentSpec) -> ExperimentSpec:
 
 
 def experiment_registry() -> Dict[str, ExperimentSpec]:
-    """The registered experiments, in registration (= report) order.
+    """The registered experiments by name (the report order is
+    :data:`repro.experiments.runner.SUITE_EXPERIMENTS`).
 
     Importing :mod:`repro.experiments` populates the registry; callers that
     want the standard paper artefacts should import that package first (the

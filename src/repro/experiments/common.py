@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from ..imc.energy import EnergyModel
 from ..mapping.cycles import im2col_cycles, lowrank_cycles, pairs_cycles, pattern_pruning_cycles
 from ..mapping.geometry import ArrayDims, ConvGeometry
+from ..scenarios import get_scenario, scenario_names
 from ..training.proxy import AccuracyProxy
 from ..workloads import compressible_geometries, network_geometries
 
@@ -34,6 +35,7 @@ __all__ = [
     "MethodPoint",
     "NetworkWorkload",
     "get_workload",
+    "swept_scenarios",
     "baseline_cycles",
     "lowrank_network_cycles",
     "pattern_network_cycles",
@@ -104,6 +106,17 @@ def get_workload(network: str, input_size: int = 32) -> NetworkWorkload:
     calibration SVDs run once per network instead of once per harness.
     """
     return NetworkWorkload(network, input_size)
+
+
+def swept_scenarios(scenarios: Optional[Sequence[str]]) -> Tuple[str, ...]:
+    """The scenario names a sweep covers (default: every registered one).
+
+    Unknown names raise before any cell runs.
+    """
+    selected = tuple(scenarios) if scenarios is not None else scenario_names()
+    for name in selected:
+        get_scenario(name)
+    return selected
 
 
 def _fixed_layer_cycles(workload: NetworkWorkload, array: ArrayDims) -> int:

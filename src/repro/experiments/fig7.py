@@ -11,21 +11,13 @@ size, exactly like the bars in the figure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.plots import ascii_bars
 from ..analysis.tables import format_table
-from ..backend import using_backend
-from ..engine.sweep import (
-    ExperimentSpec,
-    ShardStats,
-    SweepCache,
-    map_sweep,
-    register_experiment,
-)
+from ..engine.sweep import ExperimentSpec, register_experiment
 from ..imc.energy import EnergyModel
 from ..mapping.geometry import ArrayDims
-from ..store import ExperimentStore
 from .common import (
     ARRAY_SIZES,
     baseline_energy,
@@ -132,66 +124,26 @@ def _fig7_cell_config(
     }
 
 
-def run_fig7(
+def _fig7_grid(
     networks: Sequence[str] = ("resnet20", "wrn16_4"),
     array_sizes: Sequence[int] = ARRAY_SIZES,
     groups: int = OURS_GROUPS,
     rank_divisor: int = OURS_RANK_DIVISOR,
     pattern_entries: int = PATTERN_ENTRIES,
     model: Optional[EnergyModel] = None,
-    parallel: bool = False,
-    store: Optional[ExperimentStore] = None,
-    shard: Optional[Tuple[int, int]] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    lease_ttl: Optional[float] = None,
-) -> Union[Fig7Result, ShardStats]:
-    """Compute the Fig. 7 energy comparison (incremental / sharded with a store).
+) -> List[Tuple[str, int, int, int, int, EnergyModel]]:
+    """One Fig. 7 bar per (network, array size).
 
-    ``workers > 1`` (default ``$REPRO_WORKERS``) computes the bars in worker
-    processes with store-shard work stealing.  ``lease_ttl`` overrides the shard-lease TTL of such a parallel run (an explicit value beats ``$REPRO_LEASE_TTL``).
+    The default ``model`` stays ``None`` in the parameters, so a worker
+    process builds its own (identical) :class:`EnergyModel` instead of
+    receiving one; a custom model travels to the workers by pickle.
     """
-    from ..parallel import resolve_workers
-
-    if shard is None and resolve_workers(workers) > 1:
-        from ..parallel import run_experiment_parallel
-
-        overrides = {
-            "networks": tuple(networks),
-            "array_sizes": tuple(array_sizes),
-            "groups": groups,
-            "rank_divisor": rank_divisor,
-            "pattern_entries": pattern_entries,
-        }
-        if model is not None:
-            # A custom energy model travels to the workers by pickle; the
-            # default stays None so every worker builds its own (identical)
-            # EnergyModel instead of shipping one around.
-            overrides["model"] = model
-        return run_experiment_parallel(
-            "fig7",
-            overrides,
-            store=store,
-            workers=resolve_workers(workers),
-            backend=backend,
-            lease_ttl=lease_ttl,
-        )
     model = model if model is not None else EnergyModel()
-    points = [
+    return [
         (network, size, groups, rank_divisor, pattern_entries, model)
         for network in networks
         for size in array_sizes
     ]
-    cache = (
-        SweepCache(store, "fig7/bar", _fig7_cell_config, Fig7Bar)
-        if store is not None
-        else None
-    )
-    with using_backend(backend):
-        bars = map_sweep(_fig7_bar, points, parallel=parallel, cache=cache, shard=shard)
-    if shard is not None:
-        return bars
-    return Fig7Result(bars=bars)
 
 
 def format_fig7(result: Fig7Result, include_plots: bool = True) -> str:
@@ -224,11 +176,18 @@ def format_fig7(result: Fig7Result, include_plots: bool = True) -> str:
     return "\n\n".join(blocks)
 
 
-register_experiment(
+FIG7 = register_experiment(
     ExperimentSpec(
         name="fig7",
         title="Fig. 7 — normalized energy vs. im2col and pattern pruning",
-        runner=run_fig7,
+        kind="fig7/bar",
+        grid=_fig7_grid,
+        cell=_fig7_bar,
+        cell_key=_fig7_cell_config,
+        result_type=Fig7Bar,
+        assemble=lambda bars, /, **_: Fig7Result(bars=bars),
         formatter=format_fig7,
     )
 )
+#: Compute the Fig. 7 energy comparison (see :meth:`ExperimentSpec.run`).
+run_fig7 = FIG7.run

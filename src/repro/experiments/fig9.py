@@ -11,21 +11,13 @@ method (1.5× / 1.6× speed-ups on WRN16-4 / ResNet-20), which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.pareto import pareto_front
 from ..analysis.plots import ascii_scatter
 from ..analysis.tables import format_cycles, format_table
-from ..backend import using_backend
-from ..engine.sweep import (
-    ExperimentSpec,
-    ShardStats,
-    SweepCache,
-    map_sweep,
-    register_experiment,
-)
+from ..engine.sweep import ExperimentSpec, register_experiment
 from ..mapping.geometry import ArrayDims
-from ..store import ExperimentStore
 from .common import (
     GROUP_COUNTS,
     RANK_DIVISORS,
@@ -153,53 +145,16 @@ def _fig9_cell_config(
     }
 
 
-def run_fig9(
+def _fig9_grid(
     panels: Sequence[Tuple[str, int]] = FIG9_PANELS,
     group_counts: Sequence[int] = GROUP_COUNTS,
     rank_divisors: Sequence[int] = RANK_DIVISORS,
-    parallel: bool = False,
-    store: Optional[ExperimentStore] = None,
-    shard: Optional[Tuple[int, int]] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    lease_ttl: Optional[float] = None,
-) -> Union[Fig9Result, ShardStats]:
-    """Compute the Fig. 9 comparison (incremental / sharded with a store).
-
-    ``workers > 1`` (default ``$REPRO_WORKERS``) computes the panels in worker
-    processes with store-shard work stealing.  ``lease_ttl`` overrides the shard-lease TTL of such a parallel run (an explicit value beats ``$REPRO_LEASE_TTL``).
-    """
-    from ..parallel import resolve_workers
-
-    if shard is None and resolve_workers(workers) > 1:
-        from ..parallel import run_experiment_parallel
-
-        return run_experiment_parallel(
-            "fig9",
-            {
-                "panels": tuple(tuple(panel) for panel in panels),
-                "group_counts": tuple(group_counts),
-                "rank_divisors": tuple(rank_divisors),
-            },
-            store=store,
-            workers=resolve_workers(workers),
-            backend=backend,
-            lease_ttl=lease_ttl,
-        )
-    points = [
+) -> List[Tuple[str, int, Tuple[int, ...], Tuple[int, ...]]]:
+    """One Fig. 9 panel per (network, array size) pair."""
+    return [
         (network, size, tuple(group_counts), tuple(rank_divisors))
         for network, size in panels
     ]
-    cache = (
-        SweepCache(store, "fig9/panel", _fig9_cell_config, Fig9Panel)
-        if store is not None
-        else None
-    )
-    with using_backend(backend):
-        result_panels = map_sweep(_fig9_panel, points, parallel=parallel, cache=cache, shard=shard)
-    if shard is not None:
-        return result_panels
-    return Fig9Result(panels=result_panels)
 
 
 def format_fig9(result: Fig9Result, include_plots: bool = True) -> str:
@@ -239,11 +194,18 @@ def format_fig9(result: Fig9Result, include_plots: bool = True) -> str:
     return "\n\n".join(blocks)
 
 
-register_experiment(
+FIG9 = register_experiment(
     ExperimentSpec(
         name="fig9",
         title="Fig. 9 — the proposed method vs. traditional low-rank compression",
-        runner=run_fig9,
+        kind="fig9/panel",
+        grid=_fig9_grid,
+        cell=_fig9_panel,
+        cell_key=_fig9_cell_config,
+        result_type=Fig9Panel,
+        assemble=lambda panels, /, **_: Fig9Result(panels=panels),
         formatter=format_fig9,
     )
 )
+#: Compute the Fig. 9 comparison (see :meth:`ExperimentSpec.run`).
+run_fig9 = FIG9.run

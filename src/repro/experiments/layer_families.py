@@ -26,19 +26,12 @@ almost entirely idle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.tables import format_energy_pj, format_table
-from ..backend import using_backend
-from ..engine.sweep import (
-    ExperimentSpec,
-    ShardStats,
-    SweepCache,
-    map_sweep,
-    register_experiment,
-)
+from ..engine.sweep import ExperimentSpec, register_experiment
 from ..mapping.geometry import (
     ArrayDims,
     AttentionProjectionGeometry,
@@ -48,9 +41,9 @@ from ..mapping.geometry import (
 )
 from ..mapping.cycles import tiles_for_matrix
 from ..mapping.grouped import tiles_for_grouped_conv
-from ..scenarios import get_scenario, scenario_names
-from ..store import ExperimentStore
+from ..scenarios import get_scenario
 from ..workloads import network_geometries
+from .common import swept_scenarios
 
 __all__ = [
     "FAMILIES",
@@ -253,84 +246,41 @@ def _layer_families_cell_config(
     }
 
 
-def run_layer_families(
+def _layer_families_grid(
     families: Sequence[str] = FAMILIES,
     scenarios: Optional[Sequence[str]] = None,
     trials: int = 8,
     array_size: int = 64,
     batch: int = 16,
     seed: int = 0,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
-    store: Optional[ExperimentStore] = None,
-    shard: Optional[Tuple[int, int]] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    lease_ttl: Optional[float] = None,
-) -> Union[LayerFamiliesResult, ShardStats]:
-    """Sweep layer family × hardware scenario with batched Monte-Carlo trials.
-
-    With ``store`` the (family, scenario) cells are incremental across runs;
-    with ``shard`` only the owned cells are computed and a :class:`ShardStats`
-    summary is returned.  ``backend`` scopes the execution backend of the
-    Monte-Carlo kernels (and the store fingerprint salt); ``workers > 1``
-    computes the cells in worker processes with store-shard work stealing,
-    ``lease_ttl`` overriding the shard-lease TTL of such a run.
-    """
+) -> List[Tuple[str, str, int, int, int, int]]:
+    """One cell per (family, scenario)."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     for family in families:
         representative_family_layer(family)  # fail fast on unknown families
-    scenario_seq: Tuple[str, ...] = (
-        tuple(scenarios) if scenarios is not None else scenario_names()
-    )
-    for name in scenario_seq:
-        get_scenario(name)  # fail fast on unknown scenario names
-    from ..parallel import resolve_workers
-
-    if shard is None and resolve_workers(workers) > 1:
-        from ..parallel import run_experiment_parallel
-
-        return run_experiment_parallel(
-            "layer_families",
-            {
-                "families": tuple(families),
-                "scenarios": scenario_seq,
-                "trials": trials,
-                "array_size": array_size,
-                "batch": batch,
-                "seed": seed,
-            },
-            store=store,
-            workers=resolve_workers(workers),
-            backend=backend,
-            lease_ttl=lease_ttl,
-        )
-    points = [
+    scenario_seq = swept_scenarios(scenarios)
+    return [
         (family, scenario, array_size, trials, batch, seed)
         for family in families
         for scenario in scenario_seq
     ]
-    cache = (
-        SweepCache(store, "layer_families/cell", _layer_families_cell_config, LayerFamilyPoint)
-        if store is not None
-        else None
-    )
-    with using_backend(backend):
-        cells = map_sweep(
-            _family_point,
-            points,
-            parallel=parallel,
-            max_workers=max_workers,
-            cache=cache,
-            shard=shard,
-        )
-    if shard is not None:
-        return cells
+
+
+def _layer_families_result(
+    cells: Sequence[LayerFamilyPoint],
+    /,
+    families: Sequence[str],
+    scenarios: Optional[Sequence[str]],
+    trials: int,
+    array_size: int,
+    batch: int,
+    seed: int,
+) -> LayerFamiliesResult:
     return LayerFamiliesResult(
         points=list(cells),
         families=tuple(families),
-        scenarios=scenario_seq,
+        scenarios=swept_scenarios(scenarios),
         networks={family: FAMILY_NETWORKS[family] for family in families},
         layers={
             family: representative_family_layer(family).name for family in families
@@ -385,11 +335,18 @@ def format_layer_families(
     return format_table(headers, rows, title=title)
 
 
-register_experiment(
+LAYER_FAMILIES = register_experiment(
     ExperimentSpec(
         name="layer_families",
         title="Layer families — mapping efficiency of modern layers",
-        runner=run_layer_families,
+        kind="layer_families/cell",
+        grid=_layer_families_grid,
+        cell=_family_point,
+        cell_key=_layer_families_cell_config,
+        result_type=LayerFamilyPoint,
+        assemble=_layer_families_result,
         formatter=format_layer_families,
     )
 )
+#: Sweep layer family × hardware scenario (see :meth:`ExperimentSpec.run`).
+run_layer_families = LAYER_FAMILIES.run

@@ -24,25 +24,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.tables import format_energy_pj, format_table
-from ..backend import active_precision, using_backend
+from ..backend import active_precision
 from ..engine.context import MonteCarloResult
-from ..engine.sweep import (
-    ExperimentSpec,
-    ShardStats,
-    SweepCache,
-    map_sweep,
-    register_experiment,
-)
+from ..engine.sweep import ExperimentSpec, register_experiment
 from ..mapping.geometry import ArrayDims, ConvGeometry
-from ..scenarios import HardwareScenario, get_scenario, scenario_names
-from ..store import ExperimentStore
+from ..scenarios import HardwareScenario, get_scenario
 from ..training.proxy import AccuracyProxy
-from .common import get_workload
+from .common import get_workload, swept_scenarios
 
 __all__ = [
     "MAPPINGS",
@@ -261,7 +254,7 @@ def _robustness_cell_config(
     }
 
 
-def run_robustness(
+def _robustness_grid(
     networks: Sequence[str] = ("resnet20", "wrn16_4"),
     scenarios: Optional[Sequence[str]] = None,
     trials: int = 8,
@@ -270,85 +263,40 @@ def run_robustness(
     rank_divisor: int = 8,
     groups: int = 4,
     seed: int = 0,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
-    store: Optional[ExperimentStore] = None,
-    shard: Optional[Tuple[int, int]] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    lease_ttl: Optional[float] = None,
-) -> Union[RobustnessResult, ShardStats]:
-    """Sweep scenario × mapping × network with batched Monte-Carlo trials.
-
-    With ``store`` the (network, scenario) cells are incremental across runs;
-    with ``shard`` only the owned cells are computed and a :class:`ShardStats`
-    summary is returned.  ``backend`` scopes the execution backend of the
-    Monte-Carlo kernels (and the store fingerprint salt); ``None`` keeps the
-    active default.  ``workers > 1`` (default ``$REPRO_WORKERS``) computes the
-    (network, scenario) cells in worker processes with store-shard work
-    stealing (:mod:`repro.parallel`).  ``lease_ttl`` overrides the
-    shard-lease TTL of such a parallel run (an explicit value beats
-    ``$REPRO_LEASE_TTL``).
-    """
+) -> List[Tuple[str, str, int, int, int, int, int, int]]:
+    """One cell per (network, scenario); each cell runs every mapping."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    scenario_seq: Tuple[str, ...] = (
-        tuple(scenarios) if scenarios is not None else scenario_names()
-    )
-    for name in scenario_seq:
-        get_scenario(name)  # fail fast on unknown scenario names
-    from ..parallel import resolve_workers
-
-    if shard is None and resolve_workers(workers) > 1:
-        from ..parallel import run_experiment_parallel
-
-        return run_experiment_parallel(
-            "robustness",
-            {
-                "networks": tuple(networks),
-                "scenarios": scenario_seq,
-                "trials": trials,
-                "array_size": array_size,
-                "batch": batch,
-                "rank_divisor": rank_divisor,
-                "groups": groups,
-                "seed": seed,
-            },
-            store=store,
-            workers=resolve_workers(workers),
-            backend=backend,
-            lease_ttl=lease_ttl,
-        )
-    points = [
+    scenario_seq = swept_scenarios(scenarios)
+    return [
         (network, scenario, array_size, trials, batch, rank_divisor, groups, seed)
         for network in networks
         for scenario in scenario_seq
     ]
-    cache = (
-        SweepCache(store, "robustness/cell", _robustness_cell_config, List[RobustnessPoint])
-        if store is not None
-        else None
-    )
-    with using_backend(backend):
-        if parallel:
-            # Warm the shared proxy calibration caches serially so concurrent
-            # sweep cells read them instead of racing to fill them.
-            for network in networks:
-                get_workload(network).proxy._calibration_curve()
-        cells = map_sweep(
-            _scenario_points,
-            points,
-            parallel=parallel,
-            max_workers=max_workers,
-            cache=cache,
-            shard=shard,
-        )
-    if shard is not None:
-        return cells
+
+
+def _warm_calibration(networks: Sequence[str], **_: Any) -> None:
+    """Fill the proxy calibration caches serially before a thread-pool run."""
+    for network in networks:
+        get_workload(network).proxy._calibration_curve()
+
+
+def _robustness_result(
+    cells: Sequence[List[RobustnessPoint]],
+    /,
+    networks: Sequence[str],
+    scenarios: Optional[Sequence[str]],
+    trials: int,
+    array_size: int,
+    batch: int,
+    rank_divisor: int,
+    groups: int,
+    seed: int,
+) -> RobustnessResult:
     return RobustnessResult(
         points=[point for cell in cells for point in cell],
         networks=tuple(networks),
-        scenarios=scenario_seq,
+        scenarios=swept_scenarios(scenarios),
         mappings=MAPPINGS,
         layers={network: representative_layer(network).name for network in networks},
         array_size=array_size,
@@ -401,11 +349,19 @@ def format_robustness(result: RobustnessResult, include_plots: bool = False) -> 
     return "\n\n".join(blocks)
 
 
-register_experiment(
+ROBUSTNESS = register_experiment(
     ExperimentSpec(
         name="robustness",
         title="Robustness — Monte-Carlo accuracy/energy across hardware scenarios",
-        runner=run_robustness,
+        kind="robustness/cell",
+        grid=_robustness_grid,
+        cell=_scenario_points,
+        cell_key=_robustness_cell_config,
+        result_type=List[RobustnessPoint],
+        assemble=_robustness_result,
         formatter=format_robustness,
+        warm=_warm_calibration,
     )
 )
+#: Sweep scenario × mapping × network (see :meth:`ExperimentSpec.run`).
+run_robustness = ROBUSTNESS.run

@@ -1,62 +1,58 @@
-"""Run every registered experiment and emit a combined report.
+"""Run the experiment suite and emit a combined report.
 
-``python -m repro.experiments.runner`` reproduces all of Table I and
-Figs. 6–9 in one pass through the engine's sweep registry
-(:mod:`repro.engine.sweep`) and prints the formatted tables.  Alongside the
-plain-text report it can emit a machine-readable JSON document
-(``--json FILE``) with every reproduced number, restrict the Fig. 6 array
-sweep (``--arrays 64 128``) and run the harnesses concurrently
-(``--jobs N``); the shared workload and decomposition caches keep the
-concurrent sweeps deduplicated.  ``--workers N`` (or ``$REPRO_WORKERS``)
-scales the sweep across worker *processes* with store-shard work stealing
-(:mod:`repro.parallel`); the report is byte-identical to a serial run.
+:func:`run_all` reproduces all of Table I and Figs. 6–9 plus the robustness
+and layer-families sweeps in one pass through the engine's sweep registry
+(:mod:`repro.engine.sweep`); :func:`format_report` renders the plain-text
+report and :func:`suite_to_json` the machine-readable document behind
+``python -m repro report --json FILE``.  :func:`run_shard` computes one
+``--shard K/N`` slice of the suite's grid cells into a store.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..backend import using_backend
 from ..engine.cache import default_decomposition_cache
-from ..engine.sweep import ShardStats, experiment_registry, parse_shard, run_experiments
-from ..store import ExperimentStore, open_store
+from ..engine.sweep import ShardStats, experiment_registry, run_experiments
+from ..parallel import resolve_workers
+from ..store import ExperimentStore
 from .common import get_workload
-from .fig6 import Fig6Result, format_fig6, headline_metrics
-from .fig7 import Fig7Result, format_fig7
-from .fig8 import Fig8Result, format_fig8, quantization_speedup
-from .fig9 import Fig9Result, format_fig9, iso_accuracy_speedup
-from .layer_families import LayerFamiliesResult, format_layer_families
-from .robustness import RobustnessResult, format_robustness
-from .table1 import Table1Result, format_table1
+from .fig6 import headline_metrics
+from .fig8 import quantization_speedup
+from .fig9 import iso_accuracy_speedup
 
 __all__ = [
+    "SUITE_EXPERIMENTS",
     "ExperimentSuite",
+    "suite_overrides",
     "run_all",
     "run_shard",
     "format_shard_summary",
     "format_report",
+    "results_to_json",
     "suite_to_json",
-    "main",
 ]
 
-#: Report order of the combined suite (also the sharded execution order).
+#: The suite's experiments in report order (also the sharded execution order).
 SUITE_EXPERIMENTS = ("table1", "fig6", "fig7", "fig8", "fig9", "robustness", "layer_families")
 
 
-@dataclass
 class ExperimentSuite:
-    """Results of every reproduced table and figure, plus the robustness sweep."""
+    """Results of the suite's experiments, by name (``suite.fig6`` or
+    ``suite.results["fig6"]``); an experiment left out is ``None``."""
 
-    table1: Table1Result
-    fig6: Fig6Result
-    fig7: Fig7Result
-    fig8: Fig8Result
-    fig9: Fig9Result
-    robustness: Optional[RobustnessResult] = None
-    layer_families: Optional[LayerFamiliesResult] = None
+    def __init__(self, **results: Any) -> None:
+        unknown = sorted(set(results) - set(SUITE_EXPERIMENTS))
+        if unknown:
+            raise TypeError(f"unknown suite experiments {unknown}; expected {SUITE_EXPERIMENTS}")
+        self.results: Dict[str, Any] = {name: results.get(name) for name in SUITE_EXPERIMENTS}
+
+    def __getattr__(self, name: str) -> Any:
+        results = self.__dict__.get("results", {})
+        if name not in results:
+            raise AttributeError(name)
+        return results[name]
 
     def headline_summary(self) -> str:
         """One-paragraph summary mirroring the paper's abstract-level claims."""
@@ -80,24 +76,66 @@ class ExperimentSuite:
             f"iso-accuracy speedup over traditional low-rank: {', '.join(fig9_lines)}"
         )
 
-def _suite_overrides(
-    include_fig6_arrays: Optional[Sequence[int]],
-    robustness_trials: int,
+
+def suite_overrides(
+    names: Sequence[str] = SUITE_EXPERIMENTS,
+    arrays: Optional[Sequence[int]] = None,
+    trials: int = 8,
+) -> Dict[str, Dict[str, Any]]:
+    """The science overrides ``repro report --arrays/--trials`` give each experiment.
+
+    ``arrays`` restricts the Fig. 6 array-size sweep; ``trials`` is the
+    Monte-Carlo trial count of the robustness and layer-families sweeps.
+    The CLI, :func:`run_all` and the HTTP service all derive a run's
+    overrides here, which is what lands the service's job namespace on the
+    lease namespace of the run itself.
+    """
+    overrides: Dict[str, Dict[str, Any]] = {name: {} for name in names}
+    for name in ("robustness", "layer_families"):
+        if name in overrides:
+            overrides[name]["trials"] = trials
+    if "fig6" in overrides and arrays is not None:
+        overrides["fig6"]["array_sizes"] = tuple(arrays)
+    return overrides
+
+
+def _run_suite(
+    arrays: Optional[Sequence[int]],
+    trials: int,
     store: Optional[ExperimentStore],
     shard: Optional[Tuple[int, int]],
-) -> Dict[str, Dict[str, Any]]:
-    overrides: Dict[str, Dict[str, Any]] = {
-        "robustness": {"trials": robustness_trials},
-        "layer_families": {"trials": robustness_trials},
-    }
-    if include_fig6_arrays is not None:
-        overrides["fig6"] = {"array_sizes": tuple(include_fig6_arrays)}
-    if store is not None:
-        for name in SUITE_EXPERIMENTS:
-            overrides.setdefault(name, {})["store"] = store
+    parallel: bool,
+    max_workers: Optional[int],
+    backend: Optional[str],
+    workers: Optional[int],
+) -> Dict[str, Any]:
+    overrides = suite_overrides(SUITE_EXPERIMENTS, arrays, trials)
+    # Attach (or drop) the store's second-level SVD cache before any SVD runs,
+    # so the warm-up below spills/refills through it too — and a storeless
+    # call never leaks a previously attached store.
+    if store is None:
+        default_decomposition_cache.detach_store()
+    else:
+        default_decomposition_cache.attach_store(store)
+        for override in overrides.values():
+            override["store"] = store
             if shard is not None:
-                overrides[name]["shard"] = shard
-    return overrides
+                override["shard"] = shard
+    with using_backend(backend):
+        # Warm the shared workload cache (and its proxy calibration SVDs)
+        # serially so concurrent harnesses read the caches instead of racing
+        # to fill them.  Process workers warm their own copies (the first
+        # spills the SVDs through the shared store; siblings refill).
+        if parallel and (shard is not None or resolve_workers(workers) == 1):
+            for network in ("resnet20", "wrn16_4"):
+                get_workload(network).proxy._calibration_curve()
+        return run_experiments(
+            names=SUITE_EXPERIMENTS,
+            overrides=overrides,
+            parallel=parallel,
+            max_workers=max_workers,
+            workers=workers,
+        )
 
 
 def run_all(
@@ -109,7 +147,7 @@ def run_all(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
 ) -> ExperimentSuite:
-    """Execute every registered harness with the paper's default sweeps.
+    """Execute every suite experiment with the paper's default sweeps.
 
     ``include_fig6_arrays`` restricts the Fig. 6 array-size sweep (the CLI's
     ``--arrays``); ``parallel`` runs the harnesses concurrently through the
@@ -127,32 +165,10 @@ def run_all(
     byte-identical to a serial run.  Without a ``store`` the workers share an
     ephemeral one for the duration of the run.
     """
-    from ..parallel import resolve_workers
-
-    process_parallel = resolve_workers(workers) > 1
-    overrides = _suite_overrides(include_fig6_arrays, robustness_trials, store, None)
-    # Attach (or drop) the store's second-level SVD cache before any SVD runs,
-    # so the warm-up below spills/refills through it too — and a storeless
-    # call never leaks a previously attached store.
-    if store is not None:
-        default_decomposition_cache.attach_store(store)
-    else:
-        default_decomposition_cache.detach_store()
-    with using_backend(backend):
-        # Warm the shared workload cache (and its proxy calibration SVDs)
-        # serially so concurrent harnesses read the caches instead of racing
-        # to fill them.  Process workers warm their own copies (the first
-        # spills the SVDs through the shared store; siblings refill).
-        if parallel and not process_parallel:
-            for network in ("resnet20", "wrn16_4"):
-                get_workload(network).proxy._calibration_curve()
-        results = run_experiments(
-            names=SUITE_EXPERIMENTS,
-            overrides=overrides,
-            parallel=parallel,
-            max_workers=max_workers,
-            workers=workers,
-        )
+    results = _run_suite(
+        include_fig6_arrays, robustness_trials, store, shard=None, parallel=parallel,
+        max_workers=max_workers, backend=backend, workers=workers,
+    )
     return ExperimentSuite(**results)
 
 
@@ -174,19 +190,10 @@ def run_shard(
     afterwards (or ``repro report --store``) to assemble the full suite from
     the materialized cells.
     """
-    overrides = _suite_overrides(include_fig6_arrays, robustness_trials, store, shard)
-    default_decomposition_cache.attach_store(store)
-    with using_backend(backend):
-        if parallel:
-            for network in ("resnet20", "wrn16_4"):
-                get_workload(network).proxy._calibration_curve()
-        results = run_experiments(
-            names=SUITE_EXPERIMENTS,
-            overrides=overrides,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
-    return results
+    return _run_suite(
+        include_fig6_arrays, robustness_trials, store, shard=shard, parallel=parallel,
+        max_workers=max_workers, backend=backend, workers=None,
+    )
 
 
 def format_shard_summary(stats: Mapping[str, ShardStats]) -> str:
@@ -217,134 +224,34 @@ def format_report(suite: ExperimentSuite, include_plots: bool = False) -> str:
         "Reproduction report — Low-Rank Compression for IMC Arrays (DATE 2025)",
         "=" * 78,
         suite.headline_summary(),
-        "",
-        format_table1(suite.table1),
-        "",
-        format_fig6(suite.fig6, include_plots=include_plots),
-        "",
-        format_fig7(suite.fig7, include_plots=include_plots),
-        "",
-        format_fig8(suite.fig8, include_plots=include_plots),
-        "",
-        format_fig9(suite.fig9, include_plots=include_plots),
     ]
-    if suite.robustness is not None:
-        sections += ["", format_robustness(suite.robustness, include_plots=include_plots)]
-    if suite.layer_families is not None:
-        sections += ["", format_layer_families(suite.layer_families, include_plots=include_plots)]
+    registry = experiment_registry()
+    for name, result in suite.results.items():
+        if result is not None:
+            sections += ["", registry[name].format(result, include_plots=include_plots)]
     return "\n".join(sections)
+
+
+def results_to_json(
+    results: Mapping[str, Any], headline: Optional[str] = None
+) -> Dict[str, Any]:
+    """The JSON report document of ``{name: result}``, in suite order.
+
+    Each experiment contributes its title and its spec's serialization;
+    experiments absent from ``results`` (or ``None``) are left out.
+    """
+    registry = experiment_registry()
+    document: Dict[str, Any] = {"report": "conf_date_JeonRK25"}
+    if headline is not None:
+        document["headline"] = headline
+    document["experiments"] = {
+        name: {"title": registry[name].title, "result": registry[name].serialize(results[name])}
+        for name in SUITE_EXPERIMENTS
+        if results.get(name) is not None
+    }
+    return document
 
 
 def suite_to_json(suite: ExperimentSuite) -> Dict[str, Any]:
     """Machine-readable document with every reproduced number."""
-    registry = experiment_registry()
-    document: Dict[str, Any] = {
-        "report": "conf_date_JeonRK25",
-        "headline": suite.headline_summary(),
-        "experiments": {},
-    }
-    for name in ("table1", "fig6", "fig7", "fig8", "fig9", "robustness", "layer_families"):
-        result = getattr(suite, name)
-        if result is None:  # robustness/layer_families are optional on hand-built suites
-            continue
-        spec = registry[name]
-        document["experiments"][name] = {
-            "title": spec.title,
-            "result": spec.serialize(result),
-        }
-    return document
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover - CLI shim
-    parser = argparse.ArgumentParser(description="Reproduce every table/figure of the paper")
-    parser.add_argument("--plots", action="store_true", help="include ASCII scatter/bar plots")
-    parser.add_argument("--output", type=str, default="", help="write the report to a file")
-    parser.add_argument(
-        "--json", type=str, default="", help="also write a machine-readable JSON report"
-    )
-    parser.add_argument(
-        "--arrays",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="SIZE",
-        help="restrict the Fig. 6 array-size sweep (e.g. --arrays 64 128)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="run the experiment harnesses concurrently with this many workers",
-    )
-    parser.add_argument(
-        "--trials",
-        type=int,
-        default=8,
-        help="Monte-Carlo trial count of the robustness and layer-families sweeps",
-    )
-    parser.add_argument(
-        "--store", type=str, default="",
-        help="persistent experiment store directory (default: $REPRO_STORE)",
-    )
-    parser.add_argument(
-        "--shard", type=str, default="", metavar="K/N",
-        help="compute only shard K of N grid cells into the store, then exit",
-    )
-    parser.add_argument(
-        "--backend", type=str, default=None,
-        help="execution backend (default: $REPRO_BACKEND, else numpy64)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="run the sweep grid cells in N worker processes with store-shard "
-             "work stealing (default: $REPRO_WORKERS, else 1)",
-    )
-    args = parser.parse_args(argv)
-    store = open_store(args.store or None)
-    if args.shard:
-        if store is None:
-            parser.error("--shard requires --store (or $REPRO_STORE)")
-        if args.json or args.output or args.plots:
-            parser.error(
-                "--shard computes grid cells without assembling a report; "
-                "run the final un-sharded invocation to emit --json/--output"
-            )
-        if args.workers is not None and args.workers > 1:
-            parser.error(
-                "--shard is one slice of an externally-partitioned run; "
-                "use --workers without --shard for in-process partitioning"
-            )
-        stats = run_shard(
-            parse_shard(args.shard),
-            store,
-            include_fig6_arrays=args.arrays,
-            parallel=args.jobs > 1,
-            max_workers=args.jobs if args.jobs > 1 else None,
-            robustness_trials=args.trials,
-            backend=args.backend,
-        )
-        print(format_shard_summary(stats))
-        return 0
-    suite = run_all(
-        include_fig6_arrays=args.arrays,
-        parallel=args.jobs > 1,
-        max_workers=args.jobs if args.jobs > 1 else None,
-        robustness_trials=args.trials,
-        store=store,
-        backend=args.backend,
-        workers=args.workers,
-    )
-    report = format_report(suite, include_plots=args.plots)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report + "\n")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(suite_to_json(suite), handle, indent=2)
-            handle.write("\n")
-    print(report)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    return results_to_json(suite.results, suite.headline_summary())

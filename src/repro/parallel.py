@@ -39,6 +39,7 @@ import os
 import shutil
 import tempfile
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -67,7 +68,6 @@ __all__ = [
     "plan_namespace",
     "run_cells_parallel",
     "run_experiments_parallel",
-    "run_experiment_parallel",
     "format_worker_summary",
     "collect_workers_status",
     "format_workers_status",
@@ -81,7 +81,8 @@ WORKERS_ENV_VAR = "REPRO_WORKERS"
 #: the other workers idle for long.
 DEFAULT_SHARDS_PER_WORKER = 4
 
-#: How long an idle worker sleeps between scans for claimable shards.
+#: How long an idle worker sleeps between scans for claimable shards (and the
+#: waiting parent at most between checks for a failed worker).
 _POLL_INTERVAL = 0.1
 
 
@@ -268,11 +269,19 @@ def _worker_main(spec: WorkerSpec) -> WorkerStats:
                 beat()
                 abandoned = False
                 for name in spec.names:
-                    result = registry[name].run(
-                        store=store,
-                        shard=(claimed, spec.nshards),
-                        **spec.experiment_overrides(name),
-                    )
+                    try:
+                        result = registry[name].run(
+                            store=store,
+                            shard=(claimed, spec.nshards),
+                            **spec.experiment_overrides(name),
+                        )
+                    except Exception:
+                        # A raising cell fails the same way on every retry:
+                        # hand the shard back and let the parent report the
+                        # error now, instead of siblings stealing the shard
+                        # after the lease TTL only to fail again.
+                        board.release(claimed, owner)
+                        raise
                     if isinstance(result, ShardStats):
                         stats.computed += result.computed
                         stats.resumed += result.resumed
@@ -300,7 +309,12 @@ def _worker_main(spec: WorkerSpec) -> WorkerStats:
 
 
 def _worker_entry(spec: WorkerSpec, results: "multiprocessing.SimpleQueue") -> None:
-    results.put(_worker_main(spec))
+    """Send the parent this worker's stats, or its formatted traceback."""
+    try:
+        outcome: Union[WorkerStats, str] = _worker_main(spec)
+    except Exception:
+        outcome = f"worker {spec.worker_id} (pid {os.getpid()}):\n{traceback.format_exc()}"
+    results.put(outcome)
 
 
 def _backend_name(backend: Union[str, Backend, None]) -> Optional[str]:
@@ -339,9 +353,11 @@ def run_cells_parallel(
     succeeds when **every shard carries a completion marker**, not when every
     worker survives: a worker killed mid-shard merely forfeits its lease, and
     a surviving sibling re-claims the shard after the TTL and recomputes only
-    the cells the store does not already hold.  Only when shards remain
-    undone (e.g. every worker died) does this raise — and a rerun resumes
-    from the done markers and the materialized cells.
+    the cells the store does not already hold.  When shards remain undone
+    (e.g. every worker died) this raises — and a rerun resumes from the done
+    markers and the materialized cells.  A cell that *raises* in a worker
+    fails the run at once instead, with that worker's traceback, and the
+    other workers are stopped.
     """
     workers = resolve_workers(workers)
     nshards = nshards if nshards is not None else default_shard_count(workers)
@@ -392,17 +408,17 @@ def run_cells_parallel(
     try:
         collected = _collect_worker_results(processes, results)
     except BaseException:
-        # Ctrl-C (or any parent-side failure) is about to terminate workers
-        # that never got to release their leases.
+        # A failed worker, Ctrl-C (or any parent-side failure) is about to
+        # terminate workers that never got to release their leases.
         interrupted = True
         raise
     finally:
         for process in processes:
-            if process.is_alive():  # pragma: no cover - only on interrupt
+            if process.is_alive():
                 process.terminate()
                 process.join()
         if interrupted:
-            # Fast-expire whatever the dead workers still held, so an
+            # Fast-expire whatever the terminated workers still held, so an
             # immediate rerun claims those shards instead of stalling a
             # full TTL before it may steal them.
             _expire_abandoned_leases(
@@ -425,14 +441,25 @@ def _collect_worker_results(
     processes: Sequence["multiprocessing.Process"],
     results: "multiprocessing.SimpleQueue",
 ) -> List[WorkerStats]:
-    """Join every worker and drain the stats queue (module-level for tests:
-    the interrupt-teardown battery injects a KeyboardInterrupt here)."""
-    for process in processes:
-        process.join()
+    """Drain the workers' stats until every worker has exited.
+
+    A worker whose shard raised sends its formatted traceback instead, and
+    the first one is raised here at once.  Module-level for tests: the
+    interrupt-teardown battery injects a KeyboardInterrupt here.
+    """
+    from multiprocessing.connection import wait  # only parallel runs pay its import
+
     collected: List[WorkerStats] = []
-    while not results.empty():
-        collected.append(results.get())
-    return collected
+    while True:
+        running = [process for process in processes if process.is_alive()]
+        while not results.empty():
+            outcome = results.get()
+            if isinstance(outcome, str):
+                raise RuntimeError(f"parallel sweep failed in {outcome}")
+            collected.append(outcome)
+        if not running:
+            return collected
+        wait([process.sentinel for process in running], timeout=_POLL_INTERVAL)
 
 
 def _expire_abandoned_leases(board: LeaseBoard) -> int:
@@ -539,32 +566,6 @@ def run_experiments_parallel(
             default_decomposition_cache.detach_store()
         if ephemeral_root is not None:
             shutil.rmtree(ephemeral_root, ignore_errors=True)
-
-
-def run_experiment_parallel(
-    name: str,
-    overrides: Optional[Mapping[str, Any]] = None,
-    store: Optional[ExperimentStore] = None,
-    workers: Optional[int] = None,
-    nshards: Optional[int] = None,
-    backend: Union[str, Backend, None] = None,
-    lease_ttl: Optional[float] = None,
-) -> Any:
-    """One registered experiment, computed by worker processes and assembled.
-
-    The single-harness entry the six ``run_*`` functions delegate to when
-    called with ``workers > 1``.
-    """
-    results = run_experiments_parallel(
-        [name],
-        {name: dict(overrides or {})},
-        store=store,
-        workers=workers,
-        nshards=nshards,
-        backend=backend,
-        lease_ttl=lease_ttl,
-    )
-    return results[name]
 
 
 def format_worker_summary(stats: Sequence[WorkerStats]) -> str:

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..engine.sweep import experiment_registry, run_experiments
-from ..experiments.runner import run_all, suite_to_json
+from ..engine.sweep import run_experiments
+from ..experiments.runner import results_to_json, run_all, suite_overrides, suite_to_json
 from ..parallel import default_shard_count, plan_namespace, resolve_workers
 from ..store import ExperimentStore, LeaseBoard
 from .config import ServerConfig
@@ -70,30 +70,21 @@ class Job:
     launches: int = 0
 
 
-def _sweep_overrides(spec: SweepSpec) -> Dict[str, Dict[str, Any]]:
-    """The per-experiment overrides a spec's sweep runs with (store excluded).
-
-    Mirrors :func:`repro.experiments.runner._suite_overrides` minus the store
-    key — exactly what reaches the workers after
-    :func:`~repro.parallel.run_experiments_parallel` strips the embedded
-    store, which is what makes :func:`job_namespace` land on the same lease
-    namespace as the run itself.
-    """
-    overrides: Dict[str, Dict[str, Any]] = {name: {} for name in spec.experiments}
-    if "robustness" in overrides:
-        overrides["robustness"]["trials"] = spec.trials
-    if "layer_families" in overrides:
-        overrides["layer_families"]["trials"] = spec.trials
-    if "fig6" in overrides and spec.arrays is not None:
-        overrides["fig6"]["array_sizes"] = tuple(spec.arrays)
-    return overrides
-
-
 def job_namespace(spec: SweepSpec) -> Tuple[str, int]:
-    """The lease namespace and shard count the spec's parallel run will use."""
+    """The lease namespace and shard count the spec's parallel run will use.
+
+    Both this and the run derive the per-experiment overrides from
+    :func:`~repro.experiments.runner.suite_overrides` (the run strips the
+    store before fingerprinting its plan), so they land on one namespace.
+    """
     nshards = default_shard_count(resolve_workers(spec.workers))
     return (
-        plan_namespace(spec.experiments, _sweep_overrides(spec), nshards, spec.backend),
+        plan_namespace(
+            spec.experiments,
+            suite_overrides(spec.experiments, spec.arrays, spec.trials),
+            nshards,
+            spec.backend,
+        ),
         nshards,
     )
 
@@ -118,26 +109,14 @@ def execute_sweep(spec: SweepSpec, store: ExperimentStore) -> str:
         )
         document: Dict[str, Any] = suite_to_json(suite)
     else:
-        overrides: Dict[str, Dict[str, Any]] = {}
-        for name, cleaned in _sweep_overrides(spec).items():
-            overrides[name] = {**cleaned, "store": store}
+        overrides = suite_overrides(spec.experiments, spec.arrays, spec.trials)
         results = run_experiments(
             names=list(spec.experiments),
-            overrides=overrides,
+            overrides={name: {**science, "store": store} for name, science in overrides.items()},
             backend=spec.backend,
             workers=spec.workers,
         )
-        registry = experiment_registry()
-        document = {
-            "report": "conf_date_JeonRK25",
-            "experiments": {
-                name: {
-                    "title": registry[name].title,
-                    "result": registry[name].serialize(results[name]),
-                }
-                for name in spec.experiments
-            },
-        }
+        document = results_to_json(results)
     return json.dumps(document, indent=2) + "\n"
 
 

@@ -60,7 +60,15 @@ class TestRegistry:
 
     def test_register_replaces_by_name(self):
         spec = ExperimentSpec(
-            name="_test_dummy", title="dummy", runner=lambda: 1, formatter=lambda r, include_plots=False: str(r)
+            name="_test_dummy",
+            title="dummy",
+            kind="_test/dummy",
+            grid=lambda: [(1,)],
+            cell=lambda x: x,
+            cell_key=lambda x: {"x": x},
+            result_type=int,
+            assemble=lambda cells, /, **_: sum(cells),
+            formatter=lambda r, include_plots=False: str(r),
         )
         try:
             register_experiment(spec)

@@ -145,7 +145,7 @@ class TestFormattingAndRegistration:
     def test_registered_experiment(self):
         registry = experiment_registry()
         assert "layer_families" in registry
-        assert registry["layer_families"].runner is run_layer_families
+        assert registry["layer_families"].run == run_layer_families
 
     def test_in_full_suite(self):
         from repro.experiments.runner import SUITE_EXPERIMENTS

@@ -105,7 +105,7 @@ class TestFormattingAndRegistration:
     def test_registered_experiment(self):
         registry = experiment_registry()
         assert "robustness" in registry
-        assert registry["robustness"].runner is run_robustness
+        assert registry["robustness"].run == run_robustness
 
     def test_serializes_to_json(self, small_result):
         document = to_jsonable(small_result)

@@ -32,6 +32,7 @@ from repro.parallel import (
     run_cells_parallel,
     run_experiments_parallel,
 )
+from repro.imc.energy import EnergyModel
 from repro.store import ExperimentStore, LeaseBoard
 
 RESTRICTED_OVERRIDES = {
@@ -39,6 +40,18 @@ RESTRICTED_OVERRIDES = {
     "robustness": {"trials": 2},
     "layer_families": {"trials": 2},
 }
+
+
+class PoisonedEnergyModel(EnergyModel):
+    """Raises for 64x64 arrays: a cell failure only a worker process reaches.
+
+    Module-level so spawned workers can unpickle it from the run's overrides.
+    """
+
+    def im2col_energy(self, geometry, array):
+        if array.rows == 64:
+            raise ValueError("poisoned cell: 64x64 array")
+        return super().im2col_energy(geometry, array)
 
 
 @pytest.fixture(autouse=True)
@@ -131,6 +144,45 @@ class TestGuards:
     def test_unknown_experiment_rejected(self, tmp_path):
         with pytest.raises(KeyError, match="unknown experiments"):
             run_experiments_parallel(["nope"], {}, workers=2)
+
+    @pytest.mark.parametrize(
+        "harness, overrides, error",
+        [
+            ("robustness", {"trials": 0}, ValueError),
+            ("robustness", {"scenarios": ("no_such_scenario",)}, KeyError),
+            ("layer_families", {"trials": 0}, ValueError),
+            ("layer_families", {"families": ("no_such_family",)}, ValueError),
+        ],
+    )
+    def test_invalid_parameters_fail_in_the_parent_before_any_spawn(
+        self, harness, overrides, error, monkeypatch
+    ):
+        from repro.engine.sweep import experiment_registry
+
+        def spawn(*args, **kwargs):
+            raise AssertionError("no worker may spawn for an invalid sweep")
+
+        monkeypatch.setattr("repro.parallel.run_cells_parallel", spawn)
+        with pytest.raises(error):
+            experiment_registry()[harness].run(workers=2, **overrides)
+
+    def test_default_energy_model_is_not_shipped_to_workers(self, monkeypatch):
+        """Workers build their own default EnergyModel; only a custom one travels."""
+        from repro.experiments.fig7 import run_fig7
+
+        class Captured(Exception):
+            pass
+
+        shipped = []
+
+        def capture(names, overrides, **kwargs):
+            shipped.append(overrides)
+            raise Captured  # stop before any worker spawns
+
+        monkeypatch.setattr("repro.parallel.run_experiments_parallel", capture)
+        with pytest.raises(Captured):
+            run_fig7(array_sizes=(32,), workers=2)
+        assert shipped == [{"fig7": {"array_sizes": (32,)}}]
 
     def test_run_experiments_ignores_workers_for_sharded_overrides(self, tmp_path, monkeypatch):
         """$REPRO_WORKERS must not re-partition an explicit --shard slice."""
@@ -410,6 +462,41 @@ class TestCrashRecovery:
         info = board.read(shard)
         assert info is not None and info.owner == "doomed-worker"
         assert board.claim(shard, "rerun-worker")
+
+
+class TestFailFast:
+    def test_raising_cell_fails_the_run_at_once_with_the_original_error(
+        self, tmp_path, monkeypatch
+    ):
+        """One raising cell must not make the run wait out the lease TTL.
+
+        Regression: the failing worker kept its lease, its siblings idled
+        until the (default 120 s) TTL expired, stole the shard, failed the
+        same way, and the parent finally reported a misleading "incomplete
+        ... rerunning resumes" with the real error only in worker stderr.
+        """
+        from repro.experiments.fig7 import run_fig7
+
+        monkeypatch.delenv("REPRO_LEASE_TTL", raising=False)
+        store = ExperimentStore(tmp_path / "store")
+        started = time.monotonic()
+        with pytest.raises(RuntimeError) as failure:
+            run_fig7(
+                networks=("resnet20",),
+                array_sizes=(32, 64, 128),
+                model=PoisonedEnergyModel(),
+                store=store,
+                workers=2,
+            )
+        assert time.monotonic() - started < 15.0
+        message = str(failure.value)
+        assert "ValueError: poisoned cell: 64x64 array" in message
+        assert "rerunning resumes" not in message
+        # The failed run leaves no live lease to stall a rerun.
+        now = time.time()
+        for namespace in (store.root / "leases").iterdir():
+            for _, info in LeaseBoard(store.root, namespace.name).live_leases():
+                assert info is None or info.expired(now)
 
 
 class TestObservability:

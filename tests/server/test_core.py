@@ -15,6 +15,7 @@ import pytest
 import repro.server.queue as queue_module
 from repro.engine.cache import default_decomposition_cache
 from repro.server import JobState, RateLimiter, ServerConfig, ServerCore
+from repro.server.schemas import parse_sweep_spec
 from repro.store import ExperimentStore, LeaseBoard
 
 
@@ -185,6 +186,40 @@ class TestJobLifecycle:
             assert report.status == 200
         finally:
             reborn.queue.close(wait=True)
+
+
+class TestJobNamespace:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"workers": 2},
+            {"workers": 2, "arrays": [32], "trials": 2},
+            {"workers": 2, "experiments": ["fig6", "robustness"], "arrays": [64], "trials": 3},
+        ],
+        ids=["full-suite", "arrays", "subset"],
+    )
+    def test_job_namespace_is_the_namespace_the_run_leases_under(
+        self, payload, store, monkeypatch
+    ):
+        """GET /jobs/{id} reads shard progress from ``job_namespace(spec)``;
+        the run itself must lease under that very namespace."""
+        import repro.parallel as parallel_module
+
+        class Captured(Exception):
+            pass
+
+        computed = []
+        plan_namespace = parallel_module.plan_namespace
+
+        def capture(*args, **kwargs):
+            computed.append(plan_namespace(*args, **kwargs))
+            raise Captured  # stop before any worker spawns
+
+        monkeypatch.setattr(parallel_module, "plan_namespace", capture)
+        spec = parse_sweep_spec(payload)
+        with pytest.raises(Captured):
+            queue_module.execute_sweep(spec, store)
+        assert computed == [queue_module.job_namespace(spec)[0]]
 
 
 class TestRateLimit:
