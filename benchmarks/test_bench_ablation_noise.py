@@ -2,9 +2,9 @@
 
 The proposed deployment stores two smaller factor matrices instead of one
 large dense matrix.  This bench runs a representative layer through the
-crossbar simulator under increasing conductance variation and compares the
-output error of the dense im2col mapping against the group low-rank two-stage
-mapping, verifying that compression does not catastrophically amplify
+crossbar execution engine under increasing conductance variation and compares
+the output error of the dense im2col mapping against the group low-rank
+two-stage mapping, verifying that compression does not catastrophically amplify
 hardware noise (the error stays within a small factor of the dense mapping's
 error plus the intentional approximation error).
 """
@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine.context import ExecutionContext
 from repro.imc.noise import NoiseModel
 from repro.imc.peripherals import CellSpec, PeripheralSuite
-from repro.imc.simulator import IMCSimulator
 from repro.lowrank.group import group_decompose, group_relative_error
 from repro.mapping.geometry import ArrayDims
 
@@ -38,9 +38,9 @@ def test_bench_noise_robustness(benchmark):
         rows = []
         for sigma in SIGMAS:
             noise = NoiseModel(conductance_sigma=sigma, seed=1)
-            simulator = IMCSimulator(array=ARRAY, peripherals=PRECISION, noise=noise)
-            dense = simulator.run_dense(weight, inputs)
-            lowrank = simulator.run_lowrank(weight, inputs, rank=rank, groups=groups)
+            ctx = ExecutionContext(array=ARRAY, peripherals=PRECISION, noise=noise)
+            dense = ctx.dense_plan(weight).run(inputs)
+            lowrank = ctx.lowrank_plan(weight, rank=rank, groups=groups).run(inputs)
             rows.append(
                 {
                     "sigma": sigma,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 
-from repro import lowrank
 from repro.analysis.tables import format_cycles, format_kv, format_table
 from repro.experiments.common import (
     NetworkWorkload,
@@ -25,6 +24,7 @@ from repro.experiments.common import (
     lowrank_network_cycles,
     pattern_network_cycles,
 )
+from repro.lowrank.compress import CompressionSpec, compress_model
 from repro.mapping.geometry import ArrayDims
 from repro.nn.models import resnet20
 
@@ -41,8 +41,8 @@ def main() -> None:
     # ------------------------------------------------------------------
     model = resnet20(num_classes=10)
     dense_parameters = model.num_parameters()
-    spec = lowrank.CompressionSpec(rank_divisor=args.rank_divisor, groups=args.groups)
-    report = lowrank.compress_model(model, spec)
+    spec = CompressionSpec(rank_divisor=args.rank_divisor, groups=args.groups)
+    report = compress_model(model, spec)
 
     print(f"ResNet-20 compressed with {spec.label}")
     print(f"  dense parameters      : {dense_parameters}")

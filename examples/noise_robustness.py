@@ -17,22 +17,10 @@ import argparse
 import numpy as np
 
 from repro.analysis.tables import format_table
+from repro.experiments.robustness import representative_layer
 from repro.lowrank.group import group_decompose, group_relative_error
-from repro.mapping.geometry import ArrayDims, ConvGeometry
-from repro.nn.models import resnet20
-from repro.nn.modules import Conv2d
+from repro.mapping.geometry import ArrayDims
 from repro.scenarios import scenario_registry
-
-
-def representative_layer():
-    """Pick a mid-network ResNet-20 convolution and return its weight matrix."""
-    model = resnet20()
-    conv = model.get_submodule("layer2.1.conv1")
-    assert isinstance(conv, Conv2d)
-    geometry = ConvGeometry(
-        conv.in_channels, conv.out_channels, 3, 3, 16, 16, stride=1, padding=1, name="layer2.1.conv1"
-    )
-    return conv.im2col_weight(), geometry
 
 
 def main() -> None:
@@ -41,9 +29,12 @@ def main() -> None:
                         help="independent noisy programmings per scenario")
     args = parser.parse_args()
 
-    weight, geometry = representative_layer()
+    # The mid-network ResNet-20 layer the robustness experiment programs, with
+    # a seeded Gaussian im2col weight matrix of its shape.
+    geometry = representative_layer("resnet20")
     rank, groups = geometry.m // 8, 4
     rng = np.random.default_rng(0)
+    weight = rng.normal(0.0, 1.0 / np.sqrt(geometry.n), size=(geometry.m, geometry.n))
     inputs = rng.standard_normal((64, geometry.n))
 
     approximation_error = group_relative_error(weight, group_decompose(weight, rank, groups))

@@ -114,6 +114,27 @@ from .workloads import compressible_geometries
 __all__ = ["build_parser", "main"]
 
 
+def _int_in_range(minimum: int, maximum: Optional[int] = None):
+    """An argparse ``type`` that rejects integers outside ``[minimum, maximum]``.
+
+    Out-of-range values fail at parse time as a usage error (exit 2), before
+    any work starts, instead of surfacing later as a library traceback.
+    """
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum or (maximum is not None and value > maximum):
+            bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in "invalid integer value"
+    return parse
+
+
+_positive_int = _int_in_range(1)
+
+
 def _fig6_text(args: argparse.Namespace, store: Optional[ExperimentStore]) -> str:
     networks = (args.network,) if args.network else ("resnet20", "wrn16_4")
     return format_fig6(
@@ -241,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = subparsers.add_parser("report", help="reproduce every table and figure")
     report.add_argument("--plots", action="store_true")
     report.add_argument(
-        "--arrays", type=int, nargs="+", default=None, metavar="SIZE",
+        "--arrays", type=_positive_int, nargs="+", default=None, metavar="SIZE",
         help="restrict the Fig. 6 array-size sweep (e.g. --arrays 64 128)",
     )
     report.add_argument(
@@ -253,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write a machine-readable JSON report to this file",
     )
     report.add_argument(
-        "--trials", type=int, default=8,
+        "--trials", type=_positive_int, default=8,
         help="Monte-Carlo trial count of the robustness and layer-families sweeps",
     )
     report.add_argument(
@@ -282,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation networks to sweep",
     )
     robustness.add_argument(
-        "--trials", type=int, default=8, help="independent noisy programmings per point"
+        "--trials", type=_positive_int, default=8, help="independent noisy programmings per point"
     )
     robustness.add_argument(
         "--array", type=int, choices=(32, 64, 128), default=64, help="crossbar array size"
@@ -314,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"restrict the scenario sweep (default: all of {', '.join(scenario_names())})",
     )
     layer_families.add_argument(
-        "--trials", type=int, default=8, help="independent noisy programmings per point"
+        "--trials", type=_positive_int, default=8, help="independent noisy programmings per point"
     )
     layer_families.add_argument(
         "--array", type=int, choices=(32, 64, 128), default=64, help="crossbar array size"
@@ -368,9 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     compare = subparsers.add_parser("compare", help="deployment-style method comparison")
     compare.add_argument("--network", choices=("resnet20", "wrn16_4"), default="resnet20")
     compare.add_argument("--array", type=int, choices=(32, 64, 128), default=64)
-    compare.add_argument("--groups", type=int, default=4)
-    compare.add_argument("--rank-divisor", type=int, default=8)
-    compare.add_argument("--entries", type=int, default=6)
+    compare.add_argument("--groups", type=_positive_int, default=4)
+    compare.add_argument("--rank-divisor", type=_positive_int, default=8)
+    # Pattern entries per 3x3 kernel of the compressible layers.
+    compare.add_argument("--entries", type=_int_in_range(1, 9), default=6)
     return parser
 
 

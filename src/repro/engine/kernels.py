@@ -19,9 +19,8 @@ interpreter-bound hot loops of the reproduction with numpy-native kernels:
   :class:`BatchedTiledMatrix` built with seed ``seed + t · trial_stride``.
 
 The kernels are drop-in equivalents of their per-element counterparts
-(:func:`repro.imc.simulator.im2col_columns`'s original loop and
-:class:`repro.imc.tiles.TiledMatrix`): same tile layout, same seeded noise
-streams, same quantization arithmetic.  The equivalence is enforced by
+(:func:`im2col_columns_loop` and :class:`repro.imc.tiles.TiledMatrix`): same
+tile layout, same seeded noise streams, same quantization arithmetic.  The equivalence is enforced by
 ``tests/engine/test_kernels.py`` and ``tests/engine/test_montecarlo.py``.
 """
 

@@ -1,4 +1,9 @@
-"""IMC hardware substrate: crossbars, peripherals, energy model, noise, simulation."""
+"""IMC hardware substrate: crossbars, tiles, peripherals, energy model, noise, method reports.
+
+No experiment runs bit-sliced weights (:mod:`repro.imc.bitslicing`) or the
+chip-level scheduler (:mod:`repro.imc.scheduler`), so this package does not
+load them; import them by path.
+"""
 
 from .crossbar import CrossbarArray, conductances_to_weights, weights_to_conductances
 from .energy import (
@@ -23,13 +28,6 @@ from .peripherals import (
     ZeroSkipSpec,
     default_peripherals,
 )
-from .bitslicing import (
-    BitSlicedMatrix,
-    codes_to_values,
-    combine_slices,
-    quantize_to_codes,
-    slice_weights,
-)
 from .reports import (
     LayerHardwareRecord,
     MethodComparison,
@@ -38,21 +36,7 @@ from .reports import (
     build_report,
     compare_methods,
 )
-from .scheduler import ChipConfig, LayerSchedule, NetworkSchedule, schedule_network
 from .tiles import TiledMatrix
-
-#: Lazily resolved to avoid a circular import: the simulator is a façade over
-#: :mod:`repro.engine`, whose kernels in turn build on this package's
-#: crossbar/tile primitives.
-_SIMULATOR_EXPORTS = ("IMCSimulator", "SimulationResult", "im2col_columns")
-
-
-def __getattr__(name: str):
-    if name in _SIMULATOR_EXPORTS:
-        from . import simulator
-
-        return getattr(simulator, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CrossbarArray",
@@ -74,9 +58,6 @@ __all__ = [
     "ZeroSkipSpec",
     "PeripheralSuite",
     "default_peripherals",
-    "IMCSimulator",
-    "SimulationResult",
-    "im2col_columns",
     "TiledMatrix",
     "MethodSpec",
     "MethodComparison",
@@ -84,13 +65,4 @@ __all__ = [
     "NetworkHardwareReport",
     "build_report",
     "compare_methods",
-    "BitSlicedMatrix",
-    "quantize_to_codes",
-    "codes_to_values",
-    "slice_weights",
-    "combine_slices",
-    "ChipConfig",
-    "LayerSchedule",
-    "NetworkSchedule",
-    "schedule_network",
 ]

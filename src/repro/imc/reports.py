@@ -45,6 +45,12 @@ class MethodSpec:
     def __post_init__(self) -> None:
         if self.kind not in self.VALID_KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}; expected one of {self.VALID_KINDS}")
+        if self.kind == "lowrank" and not self.params.get("rank"):
+            divisor = int(self.params.get("rank_divisor", 0))
+            if divisor < 1:
+                raise ValueError(
+                    f"a lowrank method needs rank >= 1 or rank_divisor >= 1, got {dict(self.params)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,13 @@ class NetworkHardwareReport:
         return {r.layer: r for r in self.records}
 
 
+def _lowrank_rank(params: Dict[str, object], geometry: ConvGeometry) -> int:
+    """Pop a lowrank method's rank: explicit ``rank``, else ``max(1, m // rank_divisor)``."""
+    rank = int(params.pop("rank", 0))
+    divisor = int(params.pop("rank_divisor", 0))
+    return rank or max(1, geometry.m // divisor)
+
+
 def _layer_cycles(method: MethodSpec, geometry: ConvGeometry, array: ArrayDims) -> LayerCycles:
     params = dict(method.params)
     if method.kind == "im2col":
@@ -99,9 +112,7 @@ def _layer_cycles(method: MethodSpec, geometry: ConvGeometry, array: ArrayDims) 
     if method.kind == "sdk":
         return sdk_cycles(geometry, array, **params)
     if method.kind == "lowrank":
-        divisor = int(params.pop("rank_divisor", 0))
-        rank = int(params.pop("rank", 0)) or max(1, geometry.m // max(1, divisor))
-        return lowrank_cycles(geometry, array, rank=rank, **params)
+        return lowrank_cycles(geometry, array, rank=_lowrank_rank(params, geometry), **params)
     if method.kind == "pattern":
         return pattern_pruning_cycles(geometry, array, **params)
     return pairs_cycles(geometry, array, **params)
@@ -116,9 +127,7 @@ def _layer_energy(
     if method.kind == "sdk":
         return model.sdk_energy(geometry, array, **params)
     if method.kind == "lowrank":
-        divisor = int(params.pop("rank_divisor", 0))
-        rank = int(params.pop("rank", 0)) or max(1, geometry.m // max(1, divisor))
-        return model.lowrank_energy(geometry, array, rank=rank, **params)
+        return model.lowrank_energy(geometry, array, rank=_lowrank_rank(params, geometry), **params)
     if method.kind == "pattern":
         return model.pattern_pruning_energy(geometry, array, **params)
     return model.pairs_energy(geometry, array, **params)

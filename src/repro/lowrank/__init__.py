@@ -4,23 +4,17 @@ Sub-modules:
 
 * :mod:`repro.lowrank.decompose`   — truncated SVD ``D(·)`` and rank utilities,
 * :mod:`repro.lowrank.group`       — group low-rank decomposition ``D_g(·)`` (Theorem 1),
-* :mod:`repro.lowrank.sdk_lowrank` — SDK-aware factor mapping ``(I_N ⊗ L)·SDK(R)`` (Theorem 2),
-* :mod:`repro.lowrank.layers`      — drop-in compressed convolution / linear layers,
-* :mod:`repro.lowrank.compress`    — model-level compression API and reports,
-* :mod:`repro.lowrank.search`      — rank / group sweeps and Pareto-front extraction.
+* :mod:`repro.lowrank.sdk_lowrank` — SDK-aware factor mapping ``(I_N ⊗ L)·SDK(R)`` (Theorem 2).
+
+These are what the experiments run and all this package re-exports.  The
+model-level modules build on :mod:`repro.nn` and are imported by path:
+
+* :mod:`repro.lowrank.layers`          — drop-in compressed convolution / linear layers,
+* :mod:`repro.lowrank.compress`        — model-level compression API and reports,
+* :mod:`repro.lowrank.rank_allocation` — per-layer rank allocation under budgets,
+* :mod:`repro.lowrank.search`          — rank / group sweeps and Pareto-front extraction.
 """
 
-from .compress import (
-    CompressionReport,
-    CompressionSpec,
-    LayerCompressionRecord,
-    compress_conv,
-    compress_linear,
-    compress_model,
-    default_rank_fn,
-    eligible_layers,
-    rank_from_divisor,
-)
 from .decompose import (
     LowRankFactors,
     decompose,
@@ -41,29 +35,12 @@ from .group import (
     split_columns,
     theorem1_errors,
 )
-from .layers import GroupLowRankConv2d, GroupLowRankLinear, LowRankConv2d, LowRankLinear
-from .rank_allocation import (
-    LayerSensitivity,
-    RankAllocation,
-    allocate_ranks_for_cycle_budget,
-    allocate_ranks_for_error_budget,
-    layer_sensitivity,
-    network_sensitivity,
-)
 from .sdk_lowrank import (
     SDKLowRankMapping,
     kron_identity,
     sdk_group_lowrank_factors,
     sdk_lowrank_factors,
     verify_theorem2,
-)
-from .search import (
-    SweepPoint,
-    SweepResult,
-    best_configuration,
-    network_lowrank_cycles,
-    pareto_front,
-    sweep_configurations,
 )
 
 __all__ = [
@@ -91,33 +68,4 @@ __all__ = [
     "sdk_lowrank_factors",
     "sdk_group_lowrank_factors",
     "verify_theorem2",
-    # layers
-    "GroupLowRankConv2d",
-    "LowRankConv2d",
-    "GroupLowRankLinear",
-    "LowRankLinear",
-    # rank allocation
-    "LayerSensitivity",
-    "RankAllocation",
-    "layer_sensitivity",
-    "network_sensitivity",
-    "allocate_ranks_for_error_budget",
-    "allocate_ranks_for_cycle_budget",
-    # compress
-    "CompressionSpec",
-    "LayerCompressionRecord",
-    "CompressionReport",
-    "compress_model",
-    "compress_conv",
-    "compress_linear",
-    "default_rank_fn",
-    "rank_from_divisor",
-    "eligible_layers",
-    # search
-    "SweepPoint",
-    "SweepResult",
-    "network_lowrank_cycles",
-    "sweep_configurations",
-    "pareto_front",
-    "best_configuration",
 ]

@@ -8,8 +8,7 @@ This package turns hardware robustness into a first-class experiment axis:
   ``worst_case_rram``, ``pcm_like``, ``faulty``);
 * the batched Monte-Carlo kernels live in :mod:`repro.engine.kernels`
   (:class:`repro.engine.MonteCarloTiledMatrix`) and are driven from a
-  scenario via ``scenario.context(array).dense_monte_carlo_plan(...)`` or
-  the :class:`repro.imc.simulator.IMCSimulator` trial façades;
+  scenario via ``scenario.context(array).dense_monte_carlo_plan(...)``;
 * the registered ``robustness`` experiment
   (:mod:`repro.experiments.robustness`) sweeps scenario × mapping × network.
 """

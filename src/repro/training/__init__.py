@@ -1,6 +1,11 @@
-"""Training, evaluation and the calibrated accuracy proxy."""
+"""The calibrated accuracy proxy.
 
-from .evaluate import confusion_matrix, evaluate_accuracy, evaluate_topk, predict_logits
+No experiment trains a model, so the training loop
+(:mod:`repro.training.trainer`) and evaluation (:mod:`repro.training.evaluate`),
+which build on :mod:`repro.nn`, and the seeding helpers
+(:mod:`repro.training.seeds`) are not loaded here; import them by path.
+"""
+
 from .proxy import (
     BASELINE_ACCURACY,
     PATTERN_ACCURACY,
@@ -8,23 +13,11 @@ from .proxy import (
     TABLE1_ACCURACY,
     AccuracyProxy,
 )
-from .seeds import EXPERIMENT_SEEDS, seed_everything, spawn_generator
-from .trainer import EpochStats, Trainer, TrainingHistory
 
 __all__ = [
-    "Trainer",
-    "TrainingHistory",
-    "EpochStats",
-    "evaluate_accuracy",
-    "evaluate_topk",
-    "predict_logits",
-    "confusion_matrix",
     "AccuracyProxy",
     "BASELINE_ACCURACY",
     "TABLE1_ACCURACY",
     "PATTERN_ACCURACY",
     "QUANTIZATION_ACCURACY",
-    "seed_everything",
-    "spawn_generator",
-    "EXPERIMENT_SEEDS",
 ]

@@ -4,9 +4,11 @@ The cycle model, energy model, accuracy proxy and benchmark harnesses all need
 the per-layer convolution geometries of ResNet-20 (CIFAR-10) and WRN16-4
 (CIFAR-100).  Deriving them from instantiated models would work but is slow
 and couples analytical sweeps to the training substrate, so the geometries are
-written down explicitly here (they follow directly from the architectures in
-:mod:`repro.nn.models`) and cross-checked against the instantiated models in
-the test-suite.
+written down explicitly here.  ``tests/nn/test_models.py`` cross-checks them
+against the instantiated models of :mod:`repro.nn.models`, and
+``tests/test_workloads.py`` against an independent description of both
+architectures (stage widths, blocks per stage, stride-2 stage entries, 1×1
+projection shortcuts) and their published parameter counts.
 
 Two views are provided per network:
 

@@ -9,7 +9,6 @@ from repro.backend import active_backend
 from repro.engine.cache import DecompositionCache, matrix_fingerprint
 from repro.engine.context import ExecutionContext
 from repro.imc.peripherals import CellSpec, PeripheralSuite
-from repro.imc.simulator import IMCSimulator
 from repro.lowrank.decompose import decompose
 from repro.lowrank.group import group_decompose
 from repro.mapping.geometry import ArrayDims, ConvGeometry
@@ -137,15 +136,3 @@ class TestExecutionContext:
             ctx.lowrank_plan(matrix, rank=4, groups=2)
         assert cache.misses == 2  # one SVD per column block, shared by all sizes
         assert cache.hits == 4
-
-    def test_simulator_facade_engine_selection(self, rng, small_array):
-        """IMCSimulator(engine=...) drives the same plans as the raw context."""
-        matrix = rng.standard_normal((16, 40))
-        inputs = rng.standard_normal((3, 40))
-        batched = IMCSimulator(array=small_array, peripherals=HIGH_PRECISION, engine="batched")
-        legacy = IMCSimulator(array=small_array, peripherals=HIGH_PRECISION, engine="legacy")
-        rb = batched.run_dense(matrix, inputs)
-        rl = legacy.run_dense(matrix, inputs)
-        assert_outputs_match(rb.outputs, rl.outputs)
-        assert rb.allocated_tiles == rl.allocated_tiles
-        assert rb.energy_pj == rl.energy_pj

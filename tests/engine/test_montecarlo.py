@@ -21,7 +21,6 @@ from repro.engine.kernels import (
     MonteCarloTiledMatrix,
 )
 from repro.imc.noise import NoiseModel
-from repro.imc.simulator import IMCSimulator
 from repro.imc.tiles import TiledMatrix
 from repro.mapping.geometry import ArrayDims
 
@@ -230,21 +229,19 @@ class TestMonteCarloPlans:
         assert result.worst_relative_error == pytest.approx(float(np.max(errors)))
         assert np.all(errors > 0)
 
-    def test_simulator_facades(self, rng):
-        """IMCSimulator trial façades mirror the sequential run_* methods."""
+    def test_dense_plan_trials_match_sequential_contexts(self, rng):
+        """Dense MC trial ``t`` equals a sequential run seeded ``seed + t·stride``."""
         weight = rng.standard_normal((24, 48))
         inputs = rng.standard_normal((4, 48))
-        simulator = IMCSimulator(
-            array=ArrayDims.square(32), noise=NoiseModel.typical(), seed=6
-        )
-        mc = simulator.run_dense_trials(weight, inputs, trials=2)
+        ctx = ExecutionContext(array=ArrayDims.square(32), noise=NoiseModel.typical(), seed=6)
+        mc = ctx.dense_monte_carlo_plan(weight, trials=2).run(inputs)
         for trial in range(2):
-            sequential = IMCSimulator(
+            sequential = ExecutionContext(
                 array=ArrayDims.square(32),
                 noise=NoiseModel.typical(),
                 seed=6 + trial * TRIAL_SEED_STRIDE,
-            ).run_dense(weight, inputs)
+            ).dense_plan(weight).run(inputs)
             assert_outputs_match(mc.outputs[trial], sequential.outputs)
-        lowrank = simulator.run_lowrank_trials(weight, inputs, trials=2, rank=6, groups=2)
+        lowrank = ctx.lowrank_monte_carlo_plan(weight, rank=6, trials=2, groups=2).run(inputs)
         assert lowrank.outputs.shape == (2, 4, 24)
         assert lowrank.trials == 2

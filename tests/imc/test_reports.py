@@ -31,6 +31,12 @@ class TestMethodSpec:
         with pytest.raises(ValueError):
             MethodSpec("x", "magic")
 
+    @pytest.mark.parametrize("params", [{"rank_divisor": 0}, {"rank_divisor": -2}, {}])
+    def test_lowrank_needs_a_positive_rank_or_divisor(self, params, geometries, array):
+        """No silent full-rank fallback: a divisor below 1 is rejected, not clamped."""
+        with pytest.raises(ValueError, match="rank_divisor >= 1"):
+            compare_methods([MethodSpec("ours", "lowrank", params)], geometries, array)
+
 
 class TestBuildReport:
     def test_im2col_report_matches_cycle_model(self, geometries, array):

@@ -1,13 +1,14 @@
-"""Tests for the crossbar-level functional simulator."""
+"""Tests for crossbar-level functional simulation with :class:`ExecutionContext` plans."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.engine.context import ExecutionContext
+from repro.engine.kernels import im2col_columns
 from repro.imc.noise import NoiseModel
 from repro.imc.peripherals import CellSpec, PeripheralSuite
-from repro.imc.simulator import IMCSimulator, im2col_columns
 from repro.lowrank.group import group_decompose
 from repro.mapping.cycles import tiles_for_matrix
 from repro.mapping.geometry import ConvGeometry
@@ -16,8 +17,8 @@ HIGH_PRECISION = PeripheralSuite(cell=CellSpec(conductance_levels=4096))
 
 
 @pytest.fixture
-def simulator(small_array) -> IMCSimulator:
-    return IMCSimulator(array=small_array, peripherals=HIGH_PRECISION)
+def context(small_array) -> ExecutionContext:
+    return ExecutionContext(array=small_array, peripherals=HIGH_PRECISION)
 
 
 class TestIm2colColumns:
@@ -58,88 +59,87 @@ class TestIm2colColumns:
 
 
 class TestDenseSimulation:
-    def test_outputs_close_to_exact(self, simulator, rng):
+    def test_outputs_close_to_exact(self, context, rng):
         matrix = rng.standard_normal((16, 40))
         inputs = rng.standard_normal((5, 40))
-        result = simulator.run_dense(matrix, inputs)
+        result = context.dense_plan(matrix).run(inputs)
         assert result.relative_error < 0.05
         assert result.outputs.shape == result.exact.shape == (5, 16)
 
-    def test_tile_count_matches_cycle_model(self, simulator, rng, small_array):
+    def test_tile_count_matches_cycle_model(self, context, rng, small_array):
         matrix = rng.standard_normal((40, 70))
-        result = simulator.run_dense(matrix, rng.standard_normal((2, 70)))
+        result = context.dense_plan(matrix).run(rng.standard_normal((2, 70)))
         assert result.allocated_tiles == tiles_for_matrix(70, 40, small_array)
         assert result.activations == 2 * result.allocated_tiles
 
-    def test_energy_positive_and_scales_with_inputs(self, simulator, rng):
+    def test_energy_positive_and_scales_with_inputs(self, context, rng):
         matrix = rng.standard_normal((16, 40))
-        one = simulator.run_dense(matrix, rng.standard_normal((1, 40)))
-        three = simulator.run_dense(matrix, rng.standard_normal((3, 40)))
+        one = context.dense_plan(matrix).run(rng.standard_normal((1, 40)))
+        three = context.dense_plan(matrix).run(rng.standard_normal((3, 40)))
+        assert one.energy_pj > 0
         assert three.energy_pj == pytest.approx(3 * one.energy_pj)
 
 
 class TestLowRankSimulation:
-    def test_two_stage_matches_dense_low_rank(self, simulator, rng):
+    def test_two_stage_matches_dense_low_rank(self, context, rng):
         """Hardware two-stage execution ≈ software low-rank approximation."""
         matrix = rng.standard_normal((16, 40))
         inputs = rng.standard_normal((4, 40))
-        result = simulator.run_lowrank(matrix, inputs, rank=8, groups=2)
+        result = context.lowrank_plan(matrix, rank=8, groups=2).run(inputs)
         factors = group_decompose(matrix, 8, 2)
         software = inputs @ factors.reconstruct().T
         hardware_vs_software = np.linalg.norm(result.outputs - software) / np.linalg.norm(software)
         assert hardware_vs_software < 0.1
 
-    def test_error_decreases_with_rank(self, simulator, rng):
+    def test_error_decreases_with_rank(self, context, rng):
         matrix = rng.standard_normal((16, 40))
         inputs = rng.standard_normal((4, 40))
-        low = simulator.run_lowrank(matrix, inputs, rank=1).relative_error
-        high = simulator.run_lowrank(matrix, inputs, rank=16).relative_error
+        low = context.lowrank_plan(matrix, rank=1).run(inputs).relative_error
+        high = context.lowrank_plan(matrix, rank=16).run(inputs).relative_error
         assert high < low
 
-    def test_grouping_reduces_error_at_fixed_rank(self, simulator, rng):
+    def test_grouping_reduces_error_at_fixed_rank(self, context, rng):
         matrix = rng.standard_normal((16, 40))
         inputs = rng.standard_normal((4, 40))
-        g1 = simulator.run_lowrank(matrix, inputs, rank=2, groups=1).relative_error
-        g4 = simulator.run_lowrank(matrix, inputs, rank=2, groups=4).relative_error
+        g1 = context.lowrank_plan(matrix, rank=2, groups=1).run(inputs).relative_error
+        g4 = context.lowrank_plan(matrix, rank=2, groups=4).run(inputs).relative_error
         assert g4 <= g1 + 0.02
 
-    def test_method_label(self, simulator, rng):
-        result = simulator.run_lowrank(rng.standard_normal((8, 16)), rng.standard_normal((2, 16)), rank=2, groups=2)
+    def test_method_label(self, context, rng):
+        plan = context.lowrank_plan(rng.standard_normal((8, 16)), rank=2, groups=2)
+        result = plan.run(rng.standard_normal((2, 16)))
         assert result.method == "lowrank(g=2,k=2)"
 
 
 class TestConvSimulation:
-    def test_conv_im2col_matches_software_conv(self, rng, small_array):
-        simulator = IMCSimulator(array=small_array, peripherals=HIGH_PRECISION)
+    def test_conv_im2col_matches_software_conv(self, context, rng):
         geometry = ConvGeometry(2, 4, 3, 3, 6, 6, stride=1, padding=1)
         weight = rng.standard_normal((4, 2, 3, 3))
         inputs = rng.standard_normal((1, 2, 6, 6))
-        result = simulator.run_conv_im2col(weight, inputs, geometry)
+        result = context.conv_dense_plan(weight, geometry).run(inputs)
         assert result.relative_error < 0.05
 
-    def test_conv_lowrank(self, rng, small_array):
-        simulator = IMCSimulator(array=small_array, peripherals=HIGH_PRECISION)
+    def test_conv_lowrank(self, context, rng):
         geometry = ConvGeometry(2, 4, 3, 3, 6, 6, stride=1, padding=1)
         weight = rng.standard_normal((4, 2, 3, 3))
         inputs = rng.standard_normal((1, 2, 6, 6))
-        result = simulator.run_conv_lowrank(weight, inputs, geometry, rank=4, groups=2)
+        result = context.conv_lowrank_plan(weight, geometry, rank=4, groups=2).run(inputs)
         assert result.outputs.shape == (36, 4)
 
     def test_noise_degrades_accuracy(self, rng, small_array):
         geometry = ConvGeometry(2, 4, 3, 3, 6, 6, stride=1, padding=1)
         weight = rng.standard_normal((4, 2, 3, 3))
         inputs = rng.standard_normal((1, 2, 6, 6))
-        clean = IMCSimulator(array=small_array, peripherals=HIGH_PRECISION)
-        noisy = IMCSimulator(
+        clean = ExecutionContext(array=small_array, peripherals=HIGH_PRECISION)
+        noisy = ExecutionContext(
             array=small_array,
             peripherals=HIGH_PRECISION,
             noise=NoiseModel(conductance_sigma=0.3, seed=2),
         )
-        clean_error = clean.run_conv_im2col(weight, inputs, geometry).relative_error
-        noisy_error = noisy.run_conv_im2col(weight, inputs, geometry).relative_error
+        clean_error = clean.conv_dense_plan(weight, geometry).run(inputs).relative_error
+        noisy_error = noisy.conv_dense_plan(weight, geometry).run(inputs).relative_error
         assert noisy_error > clean_error
 
-    def test_absolute_error_property(self, rng, small_array):
-        simulator = IMCSimulator(array=small_array, peripherals=HIGH_PRECISION)
-        result = simulator.run_dense(rng.standard_normal((8, 16)), rng.standard_normal((2, 16)))
+    def test_absolute_error_property(self, context, rng):
+        result = context.dense_plan(rng.standard_normal((8, 16))).run(rng.standard_normal((2, 16)))
         assert result.absolute_error >= 0

@@ -45,6 +45,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--network", "vgg"])
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["compare", "--rank-divisor", "0"], "--rank-divisor"),
+            (["compare", "--rank-divisor", "-2"], "--rank-divisor"),
+            (["compare", "--groups", "0"], "--groups"),
+            (["compare", "--entries", "0"], "--entries"),
+            (["compare", "--entries", "12"], "--entries"),
+            (["report", "--trials", "0"], "--trials"),
+            (["robustness", "--trials", "0"], "--trials"),
+            (["layer_families", "--trials", "-1"], "--trials"),
+            (["report", "--arrays", "64", "0"], "--arrays"),
+        ],
+    )
+    def test_out_of_range_value_is_a_usage_error(self, argv, flag, capsys):
+        """Range errors exit 2 with a usage message before any work starts."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: argument {flag}: must be" in captured.err
+        assert captured.out == ""
+
 
 class TestExecution:
     def test_compare_command_prints_table(self, capsys):

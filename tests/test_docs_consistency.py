@@ -59,3 +59,33 @@ class TestCheckDocs:
         (tmp_path / "docs").mkdir()
         monkeypatch.setattr(module, "REPO_ROOT", tmp_path)
         assert module.main() == 1
+
+    def test_stale_references_detected(self, tmp_path):
+        """Missing modules and missing attributes of real ones are reported by line."""
+        document = tmp_path / "doc.md"
+        document.write_text(
+            "`repro.engine.kernels.im2col_columns` unfolds inputs in the repro.imc package.\n"
+            "See repro.no_such_module.Thing and\n"
+            "repro.mapping.geometry.ConvGeometry.no_such_method.\n"
+        )
+        module = _load_module()
+        assert module.stale_references(document) == [
+            (2, "repro.no_such_module.Thing"),
+            (3, "repro.mapping.geometry.ConvGeometry.no_such_method"),
+        ]
+
+    def test_gate_fails_on_document_naming_missing_module(self, tmp_path, monkeypatch, capsys):
+        """Docs that list every registered name still fail on one stale path."""
+        module = _load_module()
+        names = " ".join(
+            sorted(module.experiment_registry())
+            + list(module.backend_names())
+            + list(module.registered_networks())
+        )
+        (tmp_path / "README.md").write_text(names)
+        (tmp_path / "ENGINE.md").write_text(f"{names}\nsee `repro.no_such_module`\n")
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "workloads.md").write_text(names)
+        monkeypatch.setattr(module, "REPO_ROOT", tmp_path)
+        assert module.main() == 1
+        assert "ENGINE.md:2: repro.no_such_module does not resolve" in capsys.readouterr().err

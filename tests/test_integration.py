@@ -1,9 +1,9 @@
 """End-to-end integration tests covering the full pipeline of the paper:
 
 train a (small) model → compress it with group low-rank → quantize it (QAT) →
-map it onto IMC arrays → count cycles / energy → execute it on the crossbar
-simulator with noise.  Every stage uses the public API exactly as the examples
-and benchmarks do.
+map it onto IMC arrays → count cycles / energy → execute it on noisy crossbars
+with an :class:`~repro.engine.context.ExecutionContext`.  Every stage uses the
+public API exactly as the examples and benchmarks do.
 """
 
 from __future__ import annotations
@@ -11,13 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import lowrank, mapping, quantization
+from repro import mapping, quantization
 from repro.data.loaders import DataLoader
 from repro.data.synthetic import make_tiny_dataset
+from repro.engine.context import ExecutionContext
 from repro.imc.energy import EnergyModel
 from repro.imc.noise import NoiseModel
 from repro.imc.peripherals import CellSpec, PeripheralSuite
-from repro.imc.simulator import IMCSimulator
+from repro.lowrank.compress import CompressionSpec, compress_model
 from repro.lowrank.layers import GroupLowRankConv2d
 from repro.mapping.geometry import ArrayDims, ConvGeometry
 from repro.nn.models import SimpleCNN
@@ -51,8 +52,8 @@ class TestTrainCompressEvaluate:
 
         compressed = SimpleCNN(num_classes=4, in_channels=3, widths=(8, 16, 16), seed=0)
         compressed.load_state_dict(model.state_dict())
-        report = lowrank.compress_model(
-            compressed, lowrank.CompressionSpec(rank_divisor=2, groups=2)
+        report = compress_model(
+            compressed, CompressionSpec(rank_divisor=2, groups=2)
         )
         assert report.compression_ratio > 1.0
         compressed_accuracy = evaluate_accuracy(compressed, test_loader)
@@ -66,7 +67,7 @@ class TestTrainCompressEvaluate:
         def compressed_accuracy(groups: int) -> float:
             clone = SimpleCNN(num_classes=4, in_channels=3, widths=(8, 16, 16), seed=0)
             clone.load_state_dict(model.state_dict())
-            lowrank.compress_model(clone, lowrank.CompressionSpec(rank_divisor=8, groups=groups))
+            compress_model(clone, CompressionSpec(rank_divisor=8, groups=groups))
             return evaluate_accuracy(clone, test_loader)
 
         # Grouped compression has strictly lower reconstruction error; on a tiny
@@ -77,7 +78,7 @@ class TestTrainCompressEvaluate:
         model, train_loader, test_loader = trained_model_and_data
         clone = SimpleCNN(num_classes=4, in_channels=3, widths=(8, 16, 16), seed=0)
         clone.load_state_dict(model.state_dict())
-        lowrank.compress_model(clone, lowrank.CompressionSpec(rank_divisor=4, groups=2))
+        compress_model(clone, CompressionSpec(rank_divisor=4, groups=2))
         before = evaluate_accuracy(clone, test_loader)
         Trainer(clone, Adam(clone.parameters(), lr=0.005)).fit(train_loader, epochs=3)
         after = evaluate_accuracy(clone, test_loader)
@@ -87,7 +88,7 @@ class TestTrainCompressEvaluate:
         model, train_loader, _ = trained_model_and_data
         clone = SimpleCNN(num_classes=4, in_channels=3, widths=(8, 16, 16), seed=0)
         clone.load_state_dict(model.state_dict())
-        lowrank.compress_model(clone, lowrank.CompressionSpec(rank_divisor=2, groups=2))
+        compress_model(clone, CompressionSpec(rank_divisor=2, groups=2))
         quantization.apply_qat(clone, quantization.QuantizationConfig(weight_bits=4, activation_bits=4))
         trainer = Trainer(clone, Adam(clone.parameters(), lr=0.005))
         history = trainer.fit(train_loader, epochs=2)
@@ -106,7 +107,7 @@ class TestMappingAndHardware:
         model, _, _ = trained_model_and_data
         clone = SimpleCNN(num_classes=4, in_channels=3, widths=(8, 16, 16), seed=0)
         clone.load_state_dict(model.state_dict())
-        lowrank.compress_model(clone, lowrank.CompressionSpec(rank_divisor=8, groups=2))
+        compress_model(clone, CompressionSpec(rank_divisor=8, groups=2))
 
         array = ArrayDims.square(32)
         hw = {"features.3": 5, "features.6": 3}  # input sizes after the strided convs (input 10x10)
@@ -156,14 +157,16 @@ class TestMappingAndHardware:
         geometry = ConvGeometry(
             conv.in_channels, conv.out_channels, 3, 3, 8, 8, stride=1, padding=1, name="sim"
         )
-        simulator = IMCSimulator(
+        context = ExecutionContext(
             array=ArrayDims.square(32),
             peripherals=PeripheralSuite(cell=CellSpec(conductance_levels=1024)),
             noise=NoiseModel(conductance_sigma=0.02, seed=0),
         )
         inputs = np.random.default_rng(0).standard_normal((1, conv.in_channels, 8, 8))
-        dense_result = simulator.run_conv_im2col(weight, inputs, geometry)
-        lowrank_result = simulator.run_conv_lowrank(weight, inputs, geometry, rank=conv.out_channels // 2, groups=2)
+        dense_result = context.conv_dense_plan(weight, geometry).run(inputs)
+        lowrank_result = context.conv_lowrank_plan(
+            weight, geometry, rank=conv.out_channels // 2, groups=2
+        ).run(inputs)
         assert dense_result.relative_error < 0.15
         assert lowrank_result.relative_error < 0.6
         assert lowrank_result.allocated_tiles > 0
@@ -173,7 +176,7 @@ class TestMappingAndHardware:
         model, _, _ = trained_model_and_data
         clone = SimpleCNN(num_classes=4, in_channels=3, widths=(8, 16, 16), seed=0)
         clone.load_state_dict(model.state_dict())
-        report = lowrank.compress_model(clone, lowrank.CompressionSpec(rank_divisor=4, groups=2))
+        report = compress_model(clone, CompressionSpec(rank_divisor=4, groups=2))
         qat_report = quantization.apply_qat(clone)
         assert "compression" in report.describe()
         assert "quantized" in qat_report.describe()

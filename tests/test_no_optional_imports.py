@@ -9,6 +9,10 @@ imports cannot mask a violation, and asserts against ``sys.modules`` so a
 lazy import hidden behind a function stays legal while a module-scope one
 fails loudly.  CI's no-extras smoke job runs the same check from a clean
 venv where the optional packages are not even installed.
+
+The same fresh-interpreter check keeps the model-level substrate (autograd,
+training, QAT, pruning, compressed layers), which no registered experiment
+runs, out of every CLI launch and spawned worker.
 """
 
 from __future__ import annotations
@@ -70,5 +74,44 @@ def test_backend_listing_works_in_fresh_interpreter():
         "availability = backend_availability()\n"
         "assert set(availability) == set(names)\n"
     )
+    result = _run_fresh(script)
+    assert result.returncode == 0, result.stderr
+
+
+#: Modules (and their submodules) that no registered experiment runs; the
+#: package ``__init__``s must not re-export them.
+MODEL_SUBSTRATE = (
+    "repro.nn",
+    "repro.data",
+    "repro.quantization",
+    "repro.pruning",
+    "repro.lowrank.layers",
+    "repro.lowrank.compress",
+    "repro.lowrank.rank_allocation",
+    "repro.lowrank.search",
+    "repro.imc.bitslicing",
+    "repro.imc.scheduler",
+    "repro.training.trainer",
+    "repro.training.evaluate",
+    "repro.training.seeds",
+)
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.cli", "repro.experiments"])
+def test_import_does_not_load_model_substrate(module):
+    script = (
+        "import sys\n"
+        f"import {module}\n"
+        f"loaded = sorted(m for m in sys.modules for prefix in {MODEL_SUBSTRATE!r}\n"
+        "                if m == prefix or m.startswith(prefix + '.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    result = _run_fresh(script)
+    assert result.returncode == 0, result.stderr
+
+
+def test_model_substrate_imports_by_path():
+    """Every substrate module still imports on its own."""
+    script = "".join(f"import {module}\n" for module in MODEL_SUBSTRATE)
     result = _run_fresh(script)
     assert result.returncode == 0, result.stderr

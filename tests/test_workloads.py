@@ -73,6 +73,57 @@ class TestWRNCatalogue:
         assert geometries["layer3.0.conv1"].out_channels == 256
 
 
+#: The paper's two CIFAR networks, written out independently of the catalogue
+#: code: a 3->16 3x3 stem, then three stages of basic blocks (two 3x3 convs
+#: each).  A stage's first block enters with stride 1, 2, 2; a block gets a
+#: 1x1 projection shortcut when its stride or its width changes.
+ARCHITECTURES = {
+    # network: (stage widths, blocks per stage, total conv weights, published size)
+    "resnet20": ((16, 32, 64), 3, 270_256, 0.27e6),
+    "wrn16_4": ((64, 128, 256), 2, 2_742_704, 2.7e6),
+}
+
+
+def architecture_convs(widths, blocks, size=32):
+    """(name, in, out, kernel, stride, input size) of every conv, in layer order."""
+    convs = [("conv1", 3, 16, 3, 1, size)]
+    in_channels, hw = 16, size
+    for stage, (width, entry_stride) in enumerate(zip(widths, (1, 2, 2)), start=1):
+        for block in range(blocks):
+            stride = entry_stride if block == 0 else 1
+            prefix = f"layer{stage}.{block}"
+            convs.append((f"{prefix}.conv1", in_channels, width, 3, stride, hw))
+            convs.append((f"{prefix}.conv2", width, width, 3, 1, hw // stride))
+            if stride != 1 or in_channels != width:
+                convs.append((f"{prefix}.shortcut", in_channels, width, 1, stride, hw))
+            in_channels, hw = width, hw // stride
+    return convs
+
+
+class TestArchitectureCatalogue:
+    @pytest.mark.parametrize("network", sorted(ARCHITECTURES))
+    def test_catalogue_matches_architecture(self, network):
+        widths, blocks, _, _ = ARCHITECTURES[network]
+        catalogue = network_geometries(network)
+        assert [
+            (g.name, g.in_channels, g.out_channels, g.kernel_h, g.stride, g.input_h)
+            for g in catalogue
+        ] == architecture_convs(widths, blocks)
+        for g in catalogue:
+            assert (g.kernel_w, g.input_w, g.padding) == (g.kernel_h, g.input_h, g.kernel_h // 2)
+
+    @pytest.mark.parametrize("network", sorted(ARCHITECTURES))
+    def test_conv_weights_match_published_size(self, network):
+        widths, blocks, total, published = ARCHITECTURES[network]
+        expected = sum(
+            in_ch * out_ch * kernel * kernel
+            for _, in_ch, out_ch, kernel, _, _ in architecture_convs(widths, blocks)
+        )
+        assert expected == total
+        assert sum(g.weight_count for g in network_geometries(network)) == total
+        assert total == pytest.approx(published, rel=0.02)
+
+
 class TestHelpers:
     def test_network_geometries_dispatch(self):
         assert network_geometries("resnet20") == resnet20_geometries()

@@ -10,7 +10,10 @@ the documents that promise to list it:
 
 * every ``experiment_registry()`` name must appear in README.md and ENGINE.md;
 * every ``backend_names()`` name must appear in README.md and ENGINE.md;
-* every ``registered_networks()`` name must appear in docs/workloads.md.
+* every ``registered_networks()`` name must appear in docs/workloads.md;
+* every dotted ``repro.…`` reference in README.md, ENGINE.md, docs/*.md and
+  the package sources must name an importable module or an attribute of one,
+  so deleting or renaming code cannot leave a stale path behind.
 
 Run from the repository root (CI does, via the docs-consistency job)::
 
@@ -19,6 +22,7 @@ Run from the repository root (CI does, via the docs-consistency job)::
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -40,6 +44,44 @@ def missing_names(document: Path, names: Sequence[str]) -> List[str]:
         name for name in names
         if not re.search(rf"\b{re.escape(name)}\b", text)
     ]
+
+
+#: A dotted reference into the package, e.g. ``repro.engine.kernels.im2col_columns``.
+REFERENCE = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+
+
+def resolves(reference: str) -> bool:
+    """Whether ``reference`` names an importable module or an attribute of one."""
+    parts = reference.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for name in parts[split:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+def stale_references(document: Path) -> List[Tuple[int, str]]:
+    """(line number, reference) of every ``repro.…`` reference that does not resolve."""
+    return [
+        (number, match.group())
+        for number, line in enumerate(document.read_text(encoding="utf-8").splitlines(), start=1)
+        for match in REFERENCE.finditer(line)
+        if not resolves(match.group())
+    ]
+
+
+def referencing_documents() -> List[Path]:
+    """The documents and sources whose ``repro.…`` references must resolve."""
+    documents = [REPO_ROOT / "README.md", REPO_ROOT / "ENGINE.md"]
+    documents += sorted((REPO_ROOT / "docs").glob("*.md"))
+    documents += sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+    return [document for document in documents if document.exists()]
 
 
 def main() -> int:
@@ -65,13 +107,19 @@ def main() -> int:
         if absent:
             failures.append(f"{relative}: {label} not mentioned: {', '.join(absent)}")
 
+    documents = referencing_documents()
+    for document in documents:
+        relative = document.relative_to(REPO_ROOT)
+        for number, reference in stale_references(document):
+            failures.append(f"{relative}:{number}: {reference} does not resolve")
+
     if failures:
         print("docs-consistency check FAILED:", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         print(
-            "Document every registered name (or unregister it); "
-            "see docs/workloads.md and ENGINE.md.",
+            "Document every registered name (or unregister it) and point every "
+            "repro.… reference at code that exists; see docs/workloads.md and ENGINE.md.",
             file=sys.stderr,
         )
         return 1
@@ -79,7 +127,8 @@ def main() -> int:
     print(
         "docs-consistency OK: "
         f"{len(experiments)} experiments, {len(backends)} backends, "
-        f"{len(networks)} networks all documented"
+        f"{len(networks)} networks all documented; "
+        f"repro.… references in {len(documents)} files resolve"
     )
     return 0
 
