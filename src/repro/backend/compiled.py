@@ -4,13 +4,13 @@
 composite — gather → per-tile MVM → rescale → ADC-quantize → allocation-order
 scatter-add, the same pipeline :class:`repro.backend.threaded.ThreadedBackend`
 fuses over a thread pool — into a single ``numba.njit(cache=True,
-parallel=True)`` kernel.  One kernel covers both engine entry points: the
-single-programming ``(T, rows, cols)`` stack and the stacked-(R·T)
-Monte-Carlo trial stack are reshaped onto a common 4-D layout and the kernel
-parallelizes over the flattened ``(trial, vector)`` axis, where every
-iteration owns a disjoint slice of the output.  ``batched_matmul`` /
-``einsum`` / ``svd`` keep the numpy fallbacks of the :class:`Backend` base
-class — JIT wins nothing on ops BLAS/LAPACK already saturate.
+parallel=True)`` kernel.  The kernel takes the engine's one trial-stacked
+layout as is — ``(trials, T, rows, cols)`` conductances, ``(1 | trials,
+row_tiles, batch, rows)`` inputs — and parallelizes over the flattened
+``(trial, vector)`` axis, where every iteration owns a disjoint slice of the
+output.  ``batched_matmul`` / ``einsum`` / ``svd`` keep the numpy fallbacks
+of the :class:`Backend` base class — JIT wins nothing on ops BLAS/LAPACK
+already saturate.
 
 Numeric contract (the ``float64-fused`` policy).  The kernel runs float64
 throughout and reproduces the reference pipeline stage for stage, but its
@@ -125,11 +125,11 @@ prange = range
 
 
 def _tiled_mvm_loops(x, diff, tile_rows, out_starts, out_lens, scales, span, levels, result):
-    """Fused tiled-MVM over a unified 4-D layout (njit-compatible subset).
+    """Fused tiled-MVM over the trial-stacked layout (njit-compatible subset).
 
     ``x``: ``(1 | trials, row_tiles, batch, rows)`` float64 C-contiguous —
     leading extent 1 means "inputs shared by every trial".
-    ``diff``: ``(trials, T, rows, cols)``; the single-programming case is
+    ``diff``: ``(trials, T, rows, cols)``; one programming is
     ``trials == 1``.  ``result``: ``(trials, batch, out_dim)`` zeros, written
     in place.  ``levels``: ADC quantization levels (``2**bits - 1``), 0 to
     skip quantization.
@@ -248,9 +248,8 @@ class CompiledBackend(Backend):
     def warmup(self) -> None:
         """Trigger the kernel's one JIT specialization on tiny inputs.
 
-        Both engine entry points lower to the same 4-D signature, so a single
-        quantized Monte-Carlo-shaped call compiles everything the engine will
-        ever dispatch.  Benchmarks call this before timing; the CI JIT-cache
+        Every engine call has the same 4-D signature, so a single quantized
+        call compiles everything the engine will ever dispatch.  Benchmarks call this before timing; the CI JIT-cache
         job calls it to populate/verify ``NUMBA_CACHE_DIR``.
         """
         layout = TileLayout(
@@ -282,19 +281,13 @@ class CompiledBackend(Backend):
         """
         x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
         diff = np.ascontiguousarray(np.asarray(diff, dtype=np.float64))
-        monte_carlo = diff.ndim == 4
-        # Unify both entry points onto the kernel's 4-D layout: a single
-        # programming is one "trial", shared inputs are a leading extent of 1.
-        diff4 = diff if monte_carlo else diff.reshape((1,) + diff.shape)
-        x4 = x if x.ndim == 4 else x.reshape((1,) + x.shape)
-        trials = diff4.shape[0]
-        batch = x4.shape[2]
-        result = np.zeros((trials, batch, layout.out_dim), dtype=np.float64)
-        if diff4.shape[1] > 0 and batch > 0:
+        batch = x.shape[2]
+        result = np.zeros((diff.shape[0], batch, layout.out_dim), dtype=np.float64)
+        if diff.shape[1] > 0 and batch > 0:
             kernel = self._resolved_kernel()
             kernel(
-                x4,
-                diff4,
+                x,
+                diff,
                 np.ascontiguousarray(layout.tile_rows, dtype=np.int64),
                 np.ascontiguousarray(layout.out_starts, dtype=np.int64),
                 np.ascontiguousarray(layout.out_lens, dtype=np.int64),
@@ -303,4 +296,4 @@ class CompiledBackend(Backend):
                 0 if output_bits is None else 2 ** output_bits - 1,
                 result,
             )
-        return result if monte_carlo else result[0]
+        return result

@@ -8,9 +8,10 @@ backend bundles two orthogonal choices:
   arithmetic runs in, together with the documented tolerance envelopes that
   precision guarantees against the float64 reference, and the store-salt
   token that keeps artifacts of different precisions from ever colliding;
-* an **execution strategy**: how the stacked-tile batched matmul is
-  dispatched (one ``numpy.matmul`` gufunc call, or the chunked tile executor
-  of :class:`repro.backend.threaded.ThreadedBackend`).
+* an **execution strategy**: how the trial-stacked tile MVM
+  (:meth:`Backend.tiled_mvm`) is executed (one batched ``numpy.matmul``, the
+  chunked tile executor of :class:`repro.backend.threaded.ThreadedBackend`,
+  or the fused kernel of :class:`repro.backend.compiled.CompiledBackend`).
 
 Backends are registered by name and resolved in a fixed precedence order:
 
@@ -147,9 +148,9 @@ FLOAT32_POLICY = PrecisionPolicy(
 class TileLayout:
     """Static execution metadata of one programmed tiled matrix.
 
-    Built once per :class:`repro.engine.kernels.BatchedTiledMatrix` /
-    ``MonteCarloTiledMatrix`` and handed to :meth:`Backend.tiled_mvm` with
-    every batch: the per-tile input-segment gather indices, output scatter
+    Built once per :class:`repro.engine.kernels.MonteCarloTiledMatrix` (all
+    trials share it) and handed to :meth:`Backend.tiled_mvm` with every
+    batch: the per-tile input-segment gather indices, output scatter
     offsets/widths, current-to-weight rescaling factors and the logical
     output width.
     """
@@ -197,12 +198,11 @@ class Backend:
     def batched_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Stacked matmul over leading (broadcastable) batch axes.
 
-        The engine's hot path: ``(T, batch, rows) @ (T, rows, cols)`` over
-        every allocated tile, and the Monte-Carlo ``(R|1, T, batch, rows) @
-        (R, T, rows, cols)`` variant.  Implementations must compute every
-        batch slice with the same per-slice reduction ``numpy.matmul`` uses,
-        so bit-identical policies stay bit-identical regardless of how the
-        batch axis is scheduled.
+        The reference tile executor's product: ``(1|R, T, batch, rows) @
+        (R, T, rows, cols)`` over every trial and allocated tile.
+        Implementations must compute every batch slice with the same
+        per-slice reduction ``numpy.matmul`` uses, so bit-identical policies
+        stay bit-identical regardless of how the batch axis is scheduled.
         """
         return np.matmul(self.asarray(a), self.asarray(b))
 
@@ -224,43 +224,28 @@ class Backend:
     ) -> np.ndarray:
         """Execute every allocated tile of an MVM batch and scatter-add.
 
-        ``x`` is the DAC-quantized, row-tile-sliced input stack —
-        ``(row_tiles, batch, rows)`` for a single programming (shared by
-        every Monte-Carlo trial), ``(trials, row_tiles, batch, rows)`` for
-        per-trial input stacks — and ``diff`` the stacked differential
-        conductances, ``(T, rows, cols)`` or ``(trials, T, rows, cols)``.
-        Returns ``(batch, out_dim)`` / ``(trials, batch, out_dim)``.
+        ``diff`` is the trial-stacked differential conductance tensor,
+        ``(trials, T, rows, cols)`` (one programming is ``trials == 1``), and
+        ``x`` the DAC-quantized, row-tile-sliced input stack,
+        ``(1 | trials, row_tiles, batch, rows)`` — a leading extent of 1 is
+        one batch shared by every trial.  Returns ``(trials, batch, out_dim)``.
 
         The base implementation is the reference: gather each tile's input
-        segment, run one batched matmul over all (trial,) tile, vector
+        segment, run one batched matmul over all (trial, tile, vector)
         triples, rescale, ADC-quantize, then scatter-add the per-tile partial
         sums **serially in allocation order**.  Overrides may schedule tiles
         differently but must reproduce this reduction order bit-for-bit at
         equal precision (see ENGINE.md, "Execution backends").
         """
-        scales = layout.scales
-        if diff.ndim == 3:
-            batch = x.shape[1]
-            result = self.zeros((batch, layout.out_dim))
-            # Gather each tile's input segment and execute every (tile,
-            # vector) MVM in one batched matmul: (T, batch, rows) @ (T, rows, cols).
-            outputs = self.batched_matmul(x[layout.tile_rows], diff)
-            scales = scales[:, None, None]
-            valid_shape = (slice(None), None, slice(None))
-        else:
-            trials = diff.shape[0]
-            batch = x.shape[-2]
-            result = self.zeros((trials, batch, layout.out_dim))
-            # Shared inputs broadcast over the trial axis; per-trial stacks
-            # gather per trial: (trials|1, T, batch, rows) @ (trials, T, rows, cols).
-            gathered = x[layout.tile_rows][None] if x.ndim == 3 else x[:, layout.tile_rows]
-            outputs = self.batched_matmul(gathered, diff)
-            scales = scales[None, :, None, None]
-            valid_shape = (None, slice(None), None, slice(None))
+        result = self.zeros((diff.shape[0], x.shape[2], layout.out_dim))
+        # Gather each tile's input segment and execute every (trial, tile,
+        # vector) MVM in one batched matmul — shared inputs broadcast over
+        # the trial axis: (1|trials, T, batch, rows) @ (trials, T, rows, cols).
+        outputs = self.batched_matmul(x[:, layout.tile_rows], diff)
         # In-place div-then-mul keeps the rounding order of the per-tile path
         # (currents / span * scale) without allocating two temporaries.
         outputs /= layout.span
-        outputs *= scales
+        outputs *= layout.scales[:, None, None]
         if output_bits is not None:
             # Columns beyond a tile's programmed width carry only noise on the
             # unprogrammed differential pairs; the per-tile ADC never sees
@@ -268,14 +253,14 @@ class Backend:
             # max-abs identical.  (Without ADC quantization the scatter below
             # never reads them, so the mask is skipped.)
             valid = np.arange(diff.shape[-1])[None, :] < layout.out_lens[:, None]
-            outputs = np.where(valid[valid_shape], outputs, 0.0)
+            outputs = np.where(valid[:, None, :], outputs, 0.0)
             outputs = quantize(outputs, output_bits)
         # Scatter-add per-tile partial sums in allocation order (the same
         # accumulation order as the per-tile executor).
         for t in range(len(layout.tile_rows)):
             start = layout.out_starts[t]
             length = layout.out_lens[t]
-            result[..., start : start + length] += outputs[..., t, :, :length]
+            result[..., start : start + length] += outputs[:, t, :, :length]
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety

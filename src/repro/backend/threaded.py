@@ -1,22 +1,21 @@
 """Chunked, threaded tile executor — bit-identical to the numpy64 reference.
 
-The reference execution path of :class:`repro.engine.kernels.BatchedTiledMatrix`
+The reference execution path of :class:`repro.engine.kernels.MonteCarloTiledMatrix`
 materializes three tensors the size of the full stacked-tile product per MVM
-batch: the gathered per-tile input operand ``x[tile_rows]``, the batched
+batch: the gathered per-tile input operand ``x[:, tile_rows]``, the batched
 matmul output and its rescaled/quantized copy.  On the large-sweep workload
 (hundreds of tiles × 1024-vector batches) those intermediates are tens of
 megabytes each, so the hot path is memory-traffic bound — and the serial
 gufunc loop of the stacked ``numpy.matmul`` leaves every other core idle.
 
 :class:`ThreadedBackend` overrides :meth:`Backend.tiled_mvm` with a **fused
-chunked tile executor**: the stacked-tile axis is partitioned into output
-column groups (for Monte-Carlo stacks, (trial, column-group) pairs), and each
-chunk runs gather-view → 2-D GEMM → rescale → ADC-quantize → accumulate with
-a cache-resident group-local buffer on a shared
-:class:`~concurrent.futures.ThreadPoolExecutor`.  Nothing the size of the
-full stacked product is ever materialized, and BLAS releases the GIL, so
-chunks scale across cores; even with one worker the fused loop wins on
-memory traffic (~2.5x on the committed large-sweep benchmark).
+chunked tile executor**: the stacked-tile axis is partitioned into (trial,
+output column group) pairs, and each chunk runs gather-view → 2-D GEMM →
+rescale → ADC-quantize → accumulate with a cache-resident group-local buffer
+on a shared :class:`~concurrent.futures.ThreadPoolExecutor`.  Nothing the
+size of the full stacked product is ever materialized, and BLAS releases the
+GIL, so chunks scale across cores; even with one worker the fused loop wins
+on memory traffic (~2.5x on the committed large-sweep benchmark).
 
 Determinism guarantee (the reason this backend keeps the ``numpy64``
 fingerprint salt): every per-tile partial sum is produced by exactly the
@@ -28,11 +27,8 @@ in allocation order, inside a single chunk (tiles of different column groups
 never touch the same output element, so chunk scheduling reorders nothing).
 Results are therefore bit-for-bit identical to ``numpy64``, which
 ``tests/backend/test_ops.py``, the engine equivalence suites and the CI
-backend-parity matrix all assert.
-
-The generic :meth:`batched_matmul` protocol op is also overridden with a
-batch-axis chunk scheduler (one direct 2-D GEMM per slice, no cross-slice
-reduction) for callers outside the tile executor.
+backend-parity matrix all assert.  Every other protocol op, ``batched_matmul``
+included, is the numpy implementation of the :class:`Backend` base class.
 """
 
 from __future__ import annotations
@@ -50,21 +46,6 @@ from .core import FLOAT64_POLICY, THREADS_ENV_VAR, Backend, TileLayout
 __all__ = ["ThreadedBackend"]
 
 
-def _batch_index(
-    array: np.ndarray, index: Tuple[int, ...], batch_ndim: int
-) -> Tuple[int, ...]:
-    """Map a broadcast batch index onto one operand's own batch axes.
-
-    Batch axes align right (numpy broadcasting); axes the operand lacks are
-    dropped and axes of extent 1 are pinned to 0.
-    """
-    own = array.ndim - 2
-    offset = batch_ndim - own
-    return tuple(
-        0 if array.shape[axis] == 1 else index[axis + offset] for axis in range(own)
-    )
-
-
 class ThreadedBackend(Backend):
     """float64 execution with the stacked-tile axis fanned out over threads."""
 
@@ -78,16 +59,21 @@ class ThreadedBackend(Backend):
     ) -> None:
         if max_workers is None:
             env = os.environ.get(THREADS_ENV_VAR, "")
-            max_workers = int(env) if env else (os.cpu_count() or 1)
+            try:
+                max_workers = int(env) if env else (os.cpu_count() or 1)
+            except ValueError:
+                raise ValueError(f"${THREADS_ENV_VAR} must be an integer, got {env!r}") from None
         if max_workers < 1:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
+            raise ValueError(
+                f"max_workers (${THREADS_ENV_VAR}) must be positive, got {max_workers}"
+            )
         self.max_workers = max_workers
         self.chunks_per_worker = chunks_per_worker
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # Pool lifecycle
+    # Thread pool
     # ------------------------------------------------------------------
     def _executor(self) -> ThreadPoolExecutor:
         with self._pool_lock:
@@ -96,36 +82,6 @@ class ThreadedBackend(Backend):
                     max_workers=self.max_workers, thread_name_prefix="repro-backend"
                 )
             return self._pool
-
-    # ------------------------------------------------------------------
-    # The chunked tile executor
-    # ------------------------------------------------------------------
-    def batched_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = self.asarray(a)
-        b = self.asarray(b)
-        if a.ndim <= 2 and b.ndim <= 2:
-            return np.matmul(a, b)
-        batch_shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        rows, inner, cols = a.shape[-2], a.shape[-1], b.shape[-1]
-        if 0 in batch_shape or 0 in (rows, inner, cols):
-            # Degenerate extents carry no work; keep numpy's edge-case handling.
-            return np.matmul(a, b)
-        out = np.empty(batch_shape + (rows, cols), dtype=np.result_type(a, b))
-        indices: List[Tuple[int, ...]] = list(np.ndindex(*batch_shape))
-        batch_ndim = len(batch_shape)
-
-        def run_chunk(chunk: Sequence[Tuple[int, ...]]) -> None:
-            # One direct 2-D GEMM per batch slice: the same reduction, over
-            # the same operands, numpy.matmul performs for that slice.
-            for index in chunk:
-                np.matmul(
-                    a[_batch_index(a, index, batch_ndim)],
-                    b[_batch_index(b, index, batch_ndim)],
-                    out=out[index],
-                )
-
-        self._fan_out(indices, run_chunk)
-        return out
 
     def _fan_out(self, items: Sequence, run_chunk: Callable[[Sequence], None]) -> None:
         """Run ``run_chunk`` over contiguous slices of ``items`` on the pool.
@@ -165,13 +121,13 @@ class ThreadedBackend(Backend):
         The reference path materializes three tensors the size of the full
         stacked product — the gathered per-tile input operand, the batched
         matmul output and its rescaled copy — before scatter-adding.  This
-        override partitions the stacked-tile axis into **output column
-        groups** (the tiles sharing one output scatter range; for Monte-Carlo
-        stacks, one group per (trial, column) pair) and processes each group
-        fused: per tile, one direct 2-D GEMM into a group-local buffer,
-        rescale, ADC-quantize, accumulate.  Input segments are read as views
-        of the row-sliced stack (nothing is gathered), and the working set of
-        a group stays cache-resident.
+        override partitions the stacked-tile axis into one chunk per (trial,
+        **output column group)** pair — a column group being the tiles that
+        share one output scatter range — and processes each chunk fused: per
+        tile, one direct 2-D GEMM into a group-local buffer, rescale,
+        ADC-quantize, accumulate.  Input segments are read as views of the
+        row-sliced stack (nothing is gathered), and the working set of a
+        group stays cache-resident.
 
         Bit-identity argument: every GEMM is the same full-width per-slice
         product the reference's batched matmul performs; rescaling and ADC
@@ -181,23 +137,17 @@ class ThreadedBackend(Backend):
         accumulating them serially inside their group reproduces the
         reference's scatter-add order for every output element (partial sums
         of *different* column groups never touch the same output columns).
-        Groups are disjoint in (trial, output range), so scheduling them
+        Chunks are disjoint in (trial, output range), so scheduling them
         across the thread pool reorders nothing.
         """
         x = self.asarray(x)
         diff = self.asarray(diff)
-        monte_carlo = diff.ndim == 4
-        trials = diff.shape[0] if monte_carlo else 1
-        num_tiles = diff.shape[-3]
-        batch = x.shape[-2]
-        cols = diff.shape[-1]
-        if monte_carlo:
-            result = self.zeros((trials, batch, layout.out_dim))
-        else:
-            result = self.zeros((batch, layout.out_dim))
+        trials, num_tiles, _, cols = diff.shape
+        batch = x.shape[2]
+        result = self.zeros((trials, batch, layout.out_dim))
         if num_tiles == 0 or batch == 0:
             return result
-        shared_inputs = x.ndim == 3
+        shared_inputs = x.shape[0] == 1
         # Column groups in allocation order: tiles sharing one output range.
         groups: "OrderedDict[int, List[int]]" = OrderedDict()
         for t in range(num_tiles):
@@ -211,16 +161,11 @@ class ThreadedBackend(Backend):
         def run_chunks(selected: Sequence[Tuple[int, List[int]]]) -> None:
             buffer = np.empty((batch, cols), dtype=result.dtype)
             for trial, tiles in selected:
+                x_trial = x[0 if shared_inputs else trial]
                 for t in tiles:
-                    x_tile = (
-                        x[layout.tile_rows[t]]
-                        if shared_inputs
-                        else x[trial, layout.tile_rows[t]]
-                    )
-                    d_tile = diff[trial, t] if monte_carlo else diff[t]
                     # Full-width GEMM (never a column-sliced one): identical
                     # to the batched matmul's per-slice reduction.
-                    np.matmul(x_tile, d_tile, out=buffer)
+                    np.matmul(x_trial[layout.tile_rows[t]], diff[trial, t], out=buffer)
                     length = int(layout.out_lens[t])
                     partial = buffer[:, :length]
                     partial /= layout.span
@@ -228,10 +173,7 @@ class ThreadedBackend(Backend):
                     if output_bits is not None:
                         partial = quantize(partial, output_bits)
                     start = int(layout.out_starts[t])
-                    if monte_carlo:
-                        result[trial, :, start : start + length] += partial
-                    else:
-                        result[:, start : start + length] += partial
+                    result[trial, :, start : start + length] += partial
 
         self._fan_out(chunks, run_chunks)
         return result

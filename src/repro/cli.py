@@ -108,7 +108,7 @@ from .imc.reports import MethodSpec, compare_methods
 from .mapping.geometry import ArrayDims
 from .parallel import collect_workers_status, format_workers_status, resolve_workers
 from .scenarios import scenario_names
-from .store import ExperimentStore, open_store
+from .store import ExperimentStore, open_store, resolve_driver
 from .workloads import compressible_geometries
 
 __all__ = ["build_parser", "main"]
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the Fig. 6 array-size sweep (e.g. --arrays 64 128)",
     )
     report.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="run the experiment harnesses concurrently with this many workers",
     )
     report.add_argument(
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--array", type=int, choices=(32, 64, 128), default=64, help="crossbar array size"
     )
     robustness.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="run the (network, scenario) sweep cells concurrently with this many workers",
     )
     robustness.add_argument(
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--array", type=int, choices=(32, 64, 128), default=64, help="crossbar array size"
     )
     layer_families.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="run the (family, scenario) sweep cells concurrently with this many workers",
     )
     layer_families.add_argument(
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind address (default: $REPRO_SERVER_HOST, else 127.0.0.1)",
     )
     serve.add_argument(
-        "--port", type=int, default=None,
+        "--port", type=_int_in_range(0, 65535), default=None,
         help="bind port (default: $REPRO_SERVER_PORT, else 8321)",
     )
 
@@ -426,6 +426,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # to --shard: an env default must not reject an external partition.
         args.workers_explicit = args.workers is not None
         args.workers = resolve_workers(args.workers)
+        # And the store driver ($REPRO_STORE_DRIVER naming no registered driver).
+        resolve_driver()
     except ValueError as error:
         parser.error(str(error))
     store = open_store(args.store or None)

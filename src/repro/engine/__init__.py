@@ -4,10 +4,13 @@ The engine is organized in three layers (see ENGINE.md at the repository
 root):
 
 * **kernel layer** (:mod:`repro.engine.kernels`) — stride-tricks im2col and
-  the stacked-tensor :class:`BatchedTiledMatrix` crossbar executor;
+  the one stacked-tensor crossbar kernel, :class:`MonteCarloTiledMatrix`
+  (``trials`` noisy programmings; :class:`BatchedTiledMatrix` is its
+  one-trial case);
 * **pipeline layer** (:mod:`repro.engine.context`) — :class:`ExecutionContext`
-  and :class:`LayerPlan`, which fuse decompose → map → simulate → energy with
-  memoized decompositions (:mod:`repro.engine.cache`);
+  with :class:`LayerPlan` and :class:`MonteCarloPlan`, which fuse decompose →
+  map → simulate → energy with memoized decompositions
+  (:mod:`repro.engine.cache`);
 * **experiment layer** (:mod:`repro.engine.sweep`) — the registry-based sweep
   runner the Table I / Fig. 6–9 harnesses declare themselves against.
 """

@@ -15,7 +15,7 @@ re-wired by hand in every harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -310,16 +310,74 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     # Plans
     # ------------------------------------------------------------------
+    def _plan(
+        self,
+        method: str,
+        matrices: List[np.ndarray],
+        exact_matrix: np.ndarray,
+        geometry: Optional[ConvGeometry],
+        trials: Optional[int] = None,
+        trial_stride: int = TRIAL_SEED_STRIDE,
+    ) -> Union[LayerPlan, MonteCarloPlan]:
+        """Program each stage matrix once (``trials=None``) or ``trials`` times.
+
+        Stages are spaced by STAGE_SEED_STRIDE (not consecutive integers):
+        per-tile streams are seeded seed + allocation_index, so an offset of
+        1 would alias stage 2's tile 0 with stage 1's tile 1.  Both kinds of
+        plan share these offsets, so trial ``t`` of a Monte-Carlo plan is
+        bit-identical to the single-programming plan of ``trial_context(t)``.
+        """
+        offsets = [stage * STAGE_SEED_STRIDE for stage in range(len(matrices))]
+        if trials is None:
+            stages = [self.tiled(matrix, offset) for matrix, offset in zip(matrices, offsets)]
+            return LayerPlan(method, stages, exact_matrix, geometry)
+        stages = [
+            self.monte_carlo_tiled(matrix, trials, offset, trial_stride)
+            for matrix, offset in zip(matrices, offsets)
+        ]
+        return MonteCarloPlan(method, stages, exact_matrix, trials, geometry)
+
+    def _lowrank_stages(
+        self, weight_matrix: np.ndarray, rank: int, groups: int
+    ) -> Tuple[str, List[np.ndarray]]:
+        """Method name and the two stage matrices of the grouped low-rank plan."""
+        factors = self.decompositions.group_decompose(
+            weight_matrix, rank, groups, backend=self.backend
+        )
+        method = f"lowrank(g={groups},k={rank})"
+        return method, [factors.block_diagonal_right(), factors.stacked_left()]
+
+    @staticmethod
+    def _grouped_matrix(
+        weight: np.ndarray, geometry: GroupedConvGeometry
+    ) -> Tuple[str, np.ndarray]:
+        """Method name and block-diagonal im2col matrix of a grouped conv."""
+        method = "depthwise" if geometry.is_depthwise else f"grouped(g={geometry.groups})"
+        return method, expand_grouped_kernel(weight, geometry)
+
+    @staticmethod
+    def _attention_matrix(
+        weights: Union[np.ndarray, List[np.ndarray]],
+        geometry: AttentionProjectionGeometry,
+    ) -> Tuple[str, np.ndarray]:
+        """Method name and row-stacked matrix of an attention projection."""
+        if isinstance(weights, np.ndarray) and weights.ndim == 2:
+            matrix = weights
+        else:
+            matrix = stack_attention_weights(list(weights))
+        if matrix.shape != (geometry.m, geometry.n):
+            raise ValueError(
+                f"stacked projection shape {matrix.shape} != geometry's "
+                f"({geometry.m}, {geometry.n})"
+            )
+        method = "attention" if geometry.projections == 1 else f"attention(p={geometry.projections})"
+        return method, matrix
+
     def dense_plan(
         self, weight_matrix: np.ndarray, geometry: Optional[ConvGeometry] = None
     ) -> LayerPlan:
         """Plan the dense (im2col) mapping of ``y = W x``."""
-        return LayerPlan(
-            method="dense",
-            stages=[self.tiled(weight_matrix)],
-            exact_matrix=weight_matrix,
-            geometry=geometry,
-        )
+        return self._plan("dense", [weight_matrix], weight_matrix, geometry)
 
     def lowrank_plan(
         self,
@@ -333,20 +391,8 @@ class ExecutionContext:
         The group decomposition is memoized in the shared cache, so building
         the same plan for another array size or noise level reuses the SVDs.
         """
-        factors = self.decompositions.group_decompose(
-            weight_matrix, rank, groups, backend=self.backend
-        )
-        # Stages are spaced by STAGE_SEED_STRIDE (not consecutive integers):
-        # per-tile streams are seeded seed + allocation_index, so an offset of
-        # 1 would alias stage 2's tile 0 with stage 1's tile 1.
-        stage1 = self.tiled(factors.block_diagonal_right(), seed_offset=0)
-        stage2 = self.tiled(factors.stacked_left(), seed_offset=STAGE_SEED_STRIDE)
-        return LayerPlan(
-            method=f"lowrank(g={groups},k={rank})",
-            stages=[stage1, stage2],
-            exact_matrix=weight_matrix,
-            geometry=geometry,
-        )
+        method, matrices = self._lowrank_stages(weight_matrix, rank, groups)
+        return self._plan(method, matrices, weight_matrix, geometry)
 
     def conv_dense_plan(self, weight: np.ndarray, geometry: ConvGeometry) -> LayerPlan:
         """Dense plan of a convolution given its (out, in, kh, kw) kernel."""
@@ -363,14 +409,8 @@ class ExecutionContext:
         tiles :func:`repro.mapping.grouped.tiles_for_grouped_conv` predicts —
         off-diagonal all-zero tiles are structurally skipped, on both engines.
         """
-        matrix = expand_grouped_kernel(weight, geometry)
-        method = "depthwise" if geometry.is_depthwise else f"grouped(g={geometry.groups})"
-        return LayerPlan(
-            method=method,
-            stages=[self.tiled(matrix)],
-            exact_matrix=matrix,
-            geometry=geometry,
-        )
+        method, matrix = self._grouped_matrix(weight, geometry)
+        return self._plan(method, [matrix], matrix, geometry)
 
     def attention_projection_plan(
         self,
@@ -383,22 +423,8 @@ class ExecutionContext:
         of per-projection ``(d_out, d_model)`` matrices (Q/K/V) that share
         their input and are stacked before mapping.
         """
-        if isinstance(weights, np.ndarray) and weights.ndim == 2:
-            matrix = weights
-        else:
-            matrix = stack_attention_weights(list(weights))
-        if matrix.shape != (geometry.m, geometry.n):
-            raise ValueError(
-                f"stacked projection shape {matrix.shape} != geometry's "
-                f"({geometry.m}, {geometry.n})"
-            )
-        method = "attention" if geometry.projections == 1 else f"attention(p={geometry.projections})"
-        return LayerPlan(
-            method=method,
-            stages=[self.tiled(matrix)],
-            exact_matrix=matrix,
-            geometry=geometry,
-        )
+        method, matrix = self._attention_matrix(weights, geometry)
+        return self._plan(method, [matrix], matrix, geometry)
 
     # ------------------------------------------------------------------
     # Monte-Carlo plans (batched robustness trials)
@@ -441,13 +467,7 @@ class ExecutionContext:
         trial_stride: int = TRIAL_SEED_STRIDE,
     ) -> MonteCarloPlan:
         """Monte-Carlo plan of the dense (im2col) mapping of ``y = W x``."""
-        return MonteCarloPlan(
-            method="dense",
-            stages=[self.monte_carlo_tiled(weight_matrix, trials, trial_stride=trial_stride)],
-            exact_matrix=weight_matrix,
-            trials=trials,
-            geometry=geometry,
-        )
+        return self._plan("dense", [weight_matrix], weight_matrix, geometry, trials, trial_stride)
 
     def lowrank_monte_carlo_plan(
         self,
@@ -460,29 +480,12 @@ class ExecutionContext:
     ) -> MonteCarloPlan:
         """Monte-Carlo plan of the grouped two-stage low-rank computation.
 
-        Stage seed offsets match :meth:`lowrank_plan` (0 and
-        ``STAGE_SEED_STRIDE``), so trial ``t`` is bit-identical to
-        ``trial_context(t).lowrank_plan(...)``.
+        Trial ``t`` is bit-identical to
+        ``trial_context(t).lowrank_plan(...)``: same factors, same stage seed
+        offsets.
         """
-        factors = self.decompositions.group_decompose(
-            weight_matrix, rank, groups, backend=self.backend
-        )
-        stage1 = self.monte_carlo_tiled(
-            factors.block_diagonal_right(), trials, seed_offset=0, trial_stride=trial_stride
-        )
-        stage2 = self.monte_carlo_tiled(
-            factors.stacked_left(),
-            trials,
-            seed_offset=STAGE_SEED_STRIDE,
-            trial_stride=trial_stride,
-        )
-        return MonteCarloPlan(
-            method=f"lowrank(g={groups},k={rank})",
-            stages=[stage1, stage2],
-            exact_matrix=weight_matrix,
-            trials=trials,
-            geometry=geometry,
-        )
+        method, matrices = self._lowrank_stages(weight_matrix, rank, groups)
+        return self._plan(method, matrices, weight_matrix, geometry, trials, trial_stride)
 
     def grouped_conv_monte_carlo_plan(
         self,
@@ -497,15 +500,8 @@ class ExecutionContext:
         ``trial_context(t).grouped_conv_plan(weight, geometry)`` — same tile
         allocation, same per-tile seed offsets.
         """
-        matrix = expand_grouped_kernel(weight, geometry)
-        method = "depthwise" if geometry.is_depthwise else f"grouped(g={geometry.groups})"
-        return MonteCarloPlan(
-            method=method,
-            stages=[self.monte_carlo_tiled(matrix, trials, trial_stride=trial_stride)],
-            exact_matrix=matrix,
-            trials=trials,
-            geometry=geometry,
-        )
+        method, matrix = self._grouped_matrix(weight, geometry)
+        return self._plan(method, [matrix], matrix, geometry, trials, trial_stride)
 
     def attention_monte_carlo_plan(
         self,
@@ -515,23 +511,8 @@ class ExecutionContext:
         trial_stride: int = TRIAL_SEED_STRIDE,
     ) -> MonteCarloPlan:
         """Monte-Carlo plan of a stacked attention-projection GEMM."""
-        if isinstance(weights, np.ndarray) and weights.ndim == 2:
-            matrix = weights
-        else:
-            matrix = stack_attention_weights(list(weights))
-        if matrix.shape != (geometry.m, geometry.n):
-            raise ValueError(
-                f"stacked projection shape {matrix.shape} != geometry's "
-                f"({geometry.m}, {geometry.n})"
-            )
-        method = "attention" if geometry.projections == 1 else f"attention(p={geometry.projections})"
-        return MonteCarloPlan(
-            method=method,
-            stages=[self.monte_carlo_tiled(matrix, trials, trial_stride=trial_stride)],
-            exact_matrix=matrix,
-            trials=trials,
-            geometry=geometry,
-        )
+        method, matrix = self._attention_matrix(weights, geometry)
+        return self._plan(method, [matrix], matrix, geometry, trials, trial_stride)
 
     def conv_lowrank_plan(
         self, weight: np.ndarray, geometry: ConvGeometry, rank: int, groups: int = 1

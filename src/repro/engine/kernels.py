@@ -6,17 +6,17 @@ interpreter-bound hot loops of the reproduction with numpy-native kernels:
 * :func:`im2col_columns` — a ``numpy.lib.stride_tricks.sliding_window_view``
   unfolding of NCHW inputs into im2col column vectors (the triple Python loop
   it replaces is kept as :func:`im2col_columns_loop`, the cross-check oracle).
-* :class:`BatchedTiledMatrix` — all allocated tiles of a mapped matrix stored
-  as one stacked 3-D conductance tensor and executed with a single batched
-  matmul per MVM batch; cell quantization, programming noise and DAC/ADC
-  quantization are applied vectorized across tiles.
-* :class:`MonteCarloTiledMatrix` — ``R`` independently-noisy programmings
-  (Monte-Carlo robustness trials) of one mapped matrix stacked into a single
-  ``(R·T, rows, cols)`` conductance tensor, so every trial of a layer executes
-  in one batched matmul.  The noise stream of trial ``t``, tile ``i`` is
-  seeded ``seed + t · trial_stride + i``, making each trial's programmed
-  conductances bit-identical to a sequential per-trial
-  :class:`BatchedTiledMatrix` built with seed ``seed + t · trial_stride``.
+* :class:`MonteCarloTiledMatrix` — the one crossbar tile kernel: ``R``
+  independently-noisy programmings (Monte-Carlo robustness trials) of one
+  mapped matrix stacked into a single ``(R, T, rows, cols)`` conductance
+  tensor, so every trial and tile of an MVM batch executes in one call of the
+  backend's tile executor; cell quantization, programming noise and DAC/ADC
+  quantization are applied vectorized.  The noise stream of trial ``t``, tile
+  ``i`` is seeded ``seed + t · trial_stride + i``, making each trial's
+  programmed conductances bit-identical to a per-tile run seeded
+  ``seed + t · trial_stride``.
+* :class:`BatchedTiledMatrix` — its ``trials == 1`` case with the trial axis
+  removed from the surface: one programming, 2-D batches in and out.
 
 The kernels are drop-in equivalents of their per-element counterparts
 (:func:`im2col_columns_loop` and :class:`repro.imc.tiles.TiledMatrix`): same
@@ -27,7 +27,7 @@ tile layout, same seeded noise streams, same quantization arithmetic.  The equiv
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,7 +36,7 @@ from ..backend import Backend, TileLayout, resolve_backend
 from ..imc.crossbar import weights_to_conductances
 from ..imc.noise import NoiseModel
 from ..imc.peripherals import PeripheralSuite, default_peripherals
-from ..imc.tiles import TileBlock, iter_tile_blocks
+from ..imc.tiles import iter_tile_blocks
 from ..mapping.geometry import ArrayDims, ConvGeometry, ceil_div
 
 __all__ = [
@@ -127,273 +127,29 @@ def im2col_columns_loop(inputs: np.ndarray, geometry: ConvGeometry) -> np.ndarra
 
 
 @dataclass
-class _ProgrammedTiles:
-    """Clean (noise-free) stacked programming of a tiled matrix.
+class MonteCarloTiledMatrix:
+    """``trials`` independently-noisy programmings of one matrix, executed batched.
 
-    The single source of truth for what the batched executors program before
-    non-idealities are applied: stacked differential conductances in
-    allocation order plus the per-tile layout metadata, all derived from
-    :func:`repro.imc.tiles.iter_tile_blocks` with exactly the arithmetic of
-    ``CrossbarArray.program``.
-    """
+    The engine's crossbar tile kernel.  Functionally equivalent to ``trials``
+    per-tile :class:`repro.imc.tiles.TiledMatrix` instances — same tile layout
+    (via :func:`repro.imc.tiles.iter_tile_blocks`), same per-tile programming
+    (differential conductance pairs, cell quantization, seeded noise), same
+    DAC/ADC quantization arithmetic — but the clean tiles are programmed
+    **once**, perturbed per trial and stacked into one ``(trials, T, rows,
+    cols)`` differential conductance tensor, so an MVM batch of every trial
+    and tile runs in one call of the backend's tile executor instead of a
+    Python loop per (trial, tile, vector).
 
-    blocks: List[TileBlock]
-    g_pos: np.ndarray  # (T, rows, cols)
-    g_neg: np.ndarray  # (T, rows, cols)
-    scales: np.ndarray
-    tile_rows: np.ndarray
-    in_starts: np.ndarray
-    out_starts: np.ndarray
-    out_lens: np.ndarray
-    programmed: np.ndarray  # (T, 2) programmed (rows, cols) per tile
-
-
-def _program_tiles(
-    matrix: np.ndarray,
-    array: ArrayDims,
-    peripherals: PeripheralSuite,
-    skip_zero_tiles: bool,
-) -> _ProgrammedTiles:
-    """Program every allocated tile of ``matrix`` without noise, stacked."""
-    rows, cols = array.rows, array.logical_cols
-    blocks = iter_tile_blocks(matrix, array, skip_zero_tiles)
-    num = len(blocks)
-    cell = peripherals.cell
-    g_pos = np.full((num, rows, cols), cell.g_min)
-    g_neg = np.full((num, rows, cols), cell.g_min)
-    scales = np.ones(num)
-    tile_rows = np.zeros(num, dtype=np.intp)
-    in_starts = np.zeros(num, dtype=np.intp)
-    out_starts = np.zeros(num, dtype=np.intp)
-    out_lens = np.zeros(num, dtype=np.intp)
-    programmed = np.zeros((num, 2), dtype=np.intp)
-    for t, tile in enumerate(blocks):
-        physical = tile.block.T  # inputs on rows, outputs on columns
-        tile_pos, tile_neg, scale = weights_to_conductances(physical, cell)
-        r, c = physical.shape
-        g_pos[t, :r, :c] = tile_pos
-        g_neg[t, :r, :c] = tile_neg
-        scales[t] = scale
-        tile_rows[t] = tile.tile_row
-        in_starts[t] = tile.in_start
-        out_starts[t] = tile.out_start
-        out_lens[t] = c
-        programmed[t] = (r, c)
-    return _ProgrammedTiles(
-        blocks=blocks,
-        g_pos=g_pos,
-        g_neg=g_neg,
-        scales=scales,
-        tile_rows=tile_rows,
-        in_starts=in_starts,
-        out_starts=out_starts,
-        out_lens=out_lens,
-        programmed=programmed,
-    )
-
-
-@dataclass
-class BatchedTiledMatrix:
-    """A logical ``rows × cols`` matrix on crossbar tiles, executed batched.
-
-    Functionally equivalent to :class:`repro.imc.tiles.TiledMatrix` — same
-    tile layout (via :func:`repro.imc.tiles.iter_tile_blocks`), same per-tile
-    programming (differential conductance pairs, cell quantization, seeded
-    noise with seed ``seed + allocation index``), same DAC/ADC quantization
-    arithmetic — but the allocated tiles live in one stacked ``(T, rows,
-    cols)`` tensor and an MVM batch is executed with a single batched matmul
-    over all tiles and input vectors instead of a Python loop per (tile,
-    vector) pair.
-
+    Equivalence contract (see ENGINE.md): the noise generator of trial ``t``,
+    tile ``i`` is seeded ``seed + t · trial_stride + i`` — exactly the stream
+    of the per-tile oracle built with seed ``seed + t · trial_stride``.
     Everything deterministic (programmed conductances, tile counts,
-    activations, energy) is bit-for-bit identical to the per-tile oracle.
+    activations, energy) is therefore bit-for-bit identical to the oracle.
     Analog outputs are identical only up to floating-point associativity:
     BLAS reduces the batched matmul in a batch-shape-dependent order, so with
     ``output_bits``/``input_bits`` set a value landing exactly on an ADC/DAC
     rounding tie may differ from the oracle (and between batch sizes) by one
-    quantization step.  See ENGINE.md, "Equivalence contract".
-    """
-
-    matrix: np.ndarray
-    array: ArrayDims
-    peripherals: PeripheralSuite = field(default_factory=default_peripherals)
-    noise: NoiseModel = field(default_factory=NoiseModel.ideal)
-    input_bits: Optional[int] = None
-    output_bits: Optional[int] = None
-    skip_zero_tiles: bool = True
-    seed: int = 0
-    backend: Union[str, Backend, None] = None
-
-    def __post_init__(self) -> None:
-        if self.matrix.ndim != 2:
-            raise ValueError(f"expected a 2-D matrix, got shape {self.matrix.shape}")
-        self.backend = resolve_backend(self.backend)
-        out_dim, in_dim = self.matrix.shape
-        rows, cols = self.array.rows, self.array.logical_cols
-        self._row_tiles = ceil_div(in_dim, rows)
-        self._col_tiles = ceil_div(out_dim, cols)
-        # Stacked differential conductances of every allocated tile, programmed
-        # exactly like CrossbarArray.program does it per tile.  Only their
-        # difference is kept after construction (execution and read-back use
-        # nothing else), so a programmed layer holds one (T, rows, cols)
-        # tensor rather than three.
-        clean = _program_tiles(self.matrix, self.array, self.peripherals, self.skip_zero_tiles)
-        self._blocks = clean.blocks
-        self._scales = clean.scales
-        self._tile_rows = clean.tile_rows
-        self._in_starts = clean.in_starts
-        self._out_starts = clean.out_starts
-        self._out_lens = clean.out_lens
-        self._programmed = clean.programmed
-        g_pos, g_neg = clean.g_pos, clean.g_neg
-        if not self.noise.is_ideal:
-            cell = self.peripherals.cell
-            for t, tile in enumerate(self._blocks):
-                rng = np.random.default_rng(self.seed + tile.index)
-                g_pos[t] = self.noise.apply(g_pos[t], cell.g_min, cell.g_max, rng)
-                g_neg[t] = self.noise.apply(g_neg[t], cell.g_min, cell.g_max, rng)
-        # Programming stays float64 (the precision policy governs *execution*
-        # arithmetic only, so stored_matrix() keeps the bit-identity contract
-        # under every backend); the execution operand is the differential
-        # difference at the backend's compute dtype — the same array, not a
-        # copy, for float64 backends.
-        self._diff = g_pos - g_neg
-        self._exec = self.backend.asarray(self._diff)
-        self._layout = TileLayout(
-            tile_rows=self._tile_rows,
-            out_starts=self._out_starts,
-            out_lens=self._out_lens,
-            scales=self._scales,
-            span=self.peripherals.cell.g_max - self.peripherals.cell.g_min,
-            out_dim=out_dim,
-        )
-        self.total_activations = 0
-
-    # ------------------------------------------------------------------
-    # Properties (mirror TiledMatrix)
-    # ------------------------------------------------------------------
-    @property
-    def logical_shape(self) -> Tuple[int, int]:
-        return self.matrix.shape
-
-    @property
-    def grid_shape(self) -> Tuple[int, int]:
-        return self._row_tiles, self._col_tiles
-
-    @property
-    def num_allocated_tiles(self) -> int:
-        return len(self._blocks)
-
-    def stored_matrix(self) -> np.ndarray:
-        """The matrix as read back from the (quantized, possibly noisy) tiles."""
-        cell = self.peripherals.cell
-        span = cell.g_max - cell.g_min
-        out = np.zeros_like(self.matrix)
-        for t, tile in enumerate(self._blocks):
-            r, c = self._programmed[t]
-            block = (self._diff[t, :r, :c] / span * self._scales[t]).T
-            out[
-                tile.out_start : tile.out_start + block.shape[0],
-                tile.in_start : tile.in_start + block.shape[1],
-            ] = block
-        return out
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _quantize(self, values: np.ndarray, bits: int) -> np.ndarray:
-        """Per-(tile, vector) symmetric quantization along the last axis.
-
-        Elementwise identical to ``CrossbarArray._quantize_input`` /
-        ``_quantize_output`` applied per tile: each last-axis slice is scaled
-        by its own max-abs.  Slices whose max-abs is zero pass through.
-        """
-        max_abs = np.max(np.abs(values), axis=-1, keepdims=True)
-        levels = 2 ** bits - 1
-        safe = np.where(max_abs > 0.0, max_abs, 1.0)
-        quantized = np.round(values / safe * levels) / levels * safe
-        return np.where(max_abs > 0.0, quantized, values)
-
-    def mvm_batch(self, vectors: np.ndarray) -> np.ndarray:
-        """Compute ``Y = X M^T`` for a ``(num_vectors, in_dim)`` batch.
-
-        One call performs, for every allocated tile at once: DAC input
-        quantization, the analog differential-pair MVM, current-to-weight
-        rescaling and ADC output quantization, then scatter-adds the per-tile
-        partial sums into the logical output — the same computation
-        ``TiledMatrix.mvm_batch`` performs tile by tile and vector by vector,
-        up to the floating-point associativity caveat in the class docstring.
-        """
-        if vectors.ndim != 2:
-            raise ValueError(f"expected a 2-D batch, got shape {vectors.shape}")
-        out_dim, in_dim = self.matrix.shape
-        if vectors.shape[1] != in_dim:
-            raise ValueError(
-                f"expected inputs of shape (batch, {in_dim}), got {vectors.shape}"
-            )
-        batch = vectors.shape[0]
-        if not self._blocks:
-            return self.backend.zeros((batch, out_dim))
-        rows = self.array.rows
-        # Slice the batch into per-tile-row segments, zero-padded to the array
-        # row count: X has shape (row_tiles, batch, rows).
-        padded_in = self._row_tiles * rows
-        x = self.backend.zeros((batch, padded_in))
-        x[:, :in_dim] = vectors
-        x = x.reshape(batch, self._row_tiles, rows).transpose(1, 0, 2)
-        if self.input_bits is not None:
-            x = self._quantize(x, self.input_bits)
-        # The backend's tile executor performs the gather, the batched MVM,
-        # current-to-weight rescaling, ADC quantization and the allocation-
-        # order scatter-add (see Backend.tiled_mvm and ENGINE.md).
-        result = self.backend.tiled_mvm(
-            x, self._exec, self._layout, self.output_bits, self._quantize
-        )
-        self.total_activations += batch * len(self._blocks)
-        return result
-
-    def mvm(self, vector: np.ndarray) -> np.ndarray:
-        """Compute ``y = M x`` for a single input vector."""
-        out_dim, in_dim = self.matrix.shape
-        if vector.shape != (in_dim,):
-            raise ValueError(f"expected an input of shape ({in_dim},), got {vector.shape}")
-        return self.mvm_batch(vector[None, :])[0]
-
-    # ------------------------------------------------------------------
-    # Energy accounting (identical to the per-tile path)
-    # ------------------------------------------------------------------
-    def activation_energy_pj(self) -> float:
-        """Energy of activating every allocated tile once (one MVM of the matrix)."""
-        p = self.peripherals
-        total = 0.0
-        for r, c in self._programmed:
-            dac = int(r) * p.dac.energy_per_conversion_pj
-            cells = int(r) * int(c) * p.cell.read_energy_pj * 2  # differential pair
-            adc = int(c) * p.adc.energy_per_conversion_pj
-            total += dac + cells + adc
-        return total
-
-
-@dataclass
-class MonteCarloTiledMatrix:
-    """``trials`` independently-noisy programmings of one matrix, executed batched.
-
-    Monte-Carlo robustness studies re-program the same logical matrix ``R``
-    times with fresh noise draws and measure the output spread.  Instead of a
-    Python loop constructing ``R`` :class:`BatchedTiledMatrix` instances, this
-    kernel programs the clean tiles **once**, perturbs them per trial, and
-    stacks everything into a single ``(R·T, rows, cols)`` differential
-    conductance tensor so that all trials of an MVM batch execute in one
-    batched matmul.
-
-    Equivalence contract (see ENGINE.md): the noise generator of trial ``t``,
-    tile ``i`` is seeded ``seed + t · trial_stride + i`` — exactly the stream
-    a sequential per-trial run uses when it builds ``BatchedTiledMatrix(...,
-    seed=seed + t · trial_stride)`` (or the legacy per-tile
-    :class:`repro.imc.tiles.TiledMatrix` with the same seed).  Every trial's
-    programmed conductances are therefore bit-identical to the sequential
-    oracle; analog outputs agree up to floating-point associativity like the
-    rest of the engine.
+    quantization step.
     """
 
     matrix: np.ndarray
@@ -420,49 +176,58 @@ class MonteCarloTiledMatrix:
         rows, cols = self.array.rows, self.array.logical_cols
         self._row_tiles = ceil_div(in_dim, rows)
         self._col_tiles = ceil_div(out_dim, cols)
-        clean = _program_tiles(self.matrix, self.array, self.peripherals, self.skip_zero_tiles)
-        self._blocks = clean.blocks
-        self._scales = clean.scales
-        self._tile_rows = clean.tile_rows
-        self._in_starts = clean.in_starts
-        self._out_starts = clean.out_starts
-        self._out_lens = clean.out_lens
-        self._programmed = clean.programmed
+        # Program every allocated tile without noise, stacked in allocation
+        # order, exactly like CrossbarArray.program does it per tile.
+        cell = self.peripherals.cell
+        self._blocks = iter_tile_blocks(self.matrix, self.array, self.skip_zero_tiles)
         num = len(self._blocks)
+        g_pos = np.full((num, rows, cols), cell.g_min)
+        g_neg = np.full((num, rows, cols), cell.g_min)
+        scales = np.ones(num)
+        self._programmed = np.zeros((num, 2), dtype=np.intp)  # programmed (rows, cols) per tile
+        for t, tile in enumerate(self._blocks):
+            physical = tile.block.T  # inputs on rows, outputs on columns
+            tile_pos, tile_neg, scales[t] = weights_to_conductances(physical, cell)
+            r, c = physical.shape
+            g_pos[t, :r, :c] = tile_pos
+            g_neg[t, :r, :c] = tile_neg
+            self._programmed[t] = (r, c)
+        # Only the differential difference is kept: execution and read-back
+        # use nothing else.
+        diff = np.empty((self.trials, num, rows, cols))
         if self.noise.is_ideal:
-            # Every trial programs identical conductances; materialize the
-            # replicated stack so execution stays one batched matmul.
-            diff = np.broadcast_to(
-                clean.g_pos - clean.g_neg, (self.trials, num, rows, cols)
-            ).copy()
+            # Every trial programs identical conductances; replicate them so
+            # execution stays one batched matmul.
+            np.subtract(g_pos, g_neg, out=diff[0])
+            diff[1:] = diff[0]
         else:
-            cell = self.peripherals.cell
-            diff = np.empty((self.trials, num, rows, cols))
             for trial in range(self.trials):
                 base = self.seed + trial * self.trial_stride
                 for t, tile in enumerate(self._blocks):
                     # One generator per (trial, tile), consumed g_pos-then-g_neg
-                    # — the exact stream of the sequential per-trial oracle.
+                    # — the exact stream of the per-tile oracle.
                     rng = np.random.default_rng(base + tile.index)
-                    g_pos = self.noise.apply(clean.g_pos[t], cell.g_min, cell.g_max, rng)
-                    g_neg = self.noise.apply(clean.g_neg[t], cell.g_min, cell.g_max, rng)
-                    diff[trial, t] = g_pos - g_neg
-        # As in BatchedTiledMatrix: programming stays float64 for the
-        # bit-identity contract; execution reads the backend-dtype operand.
+                    noisy_pos = self.noise.apply(g_pos[t], cell.g_min, cell.g_max, rng)
+                    noisy_neg = self.noise.apply(g_neg[t], cell.g_min, cell.g_max, rng)
+                    diff[trial, t] = noisy_pos - noisy_neg
+        # Programming stays float64 (the precision policy governs *execution*
+        # arithmetic only, so stored_matrix() keeps the bit-identity contract
+        # under every backend); the execution operand is the same tensor at
+        # the backend's compute dtype — not a copy, for float64 backends.
         self._diff = diff
         self._exec = self.backend.asarray(diff)
         self._layout = TileLayout(
-            tile_rows=self._tile_rows,
-            out_starts=self._out_starts,
-            out_lens=self._out_lens,
-            scales=self._scales,
-            span=self.peripherals.cell.g_max - self.peripherals.cell.g_min,
+            tile_rows=np.array([tile.tile_row for tile in self._blocks], dtype=np.intp),
+            out_starts=np.array([tile.out_start for tile in self._blocks], dtype=np.intp),
+            out_lens=self._programmed[:, 1],
+            scales=scales,
+            span=cell.g_max - cell.g_min,
             out_dim=out_dim,
         )
         self.total_activations = 0
 
     # ------------------------------------------------------------------
-    # Properties (mirror BatchedTiledMatrix, plus the trial axis)
+    # Properties (mirror TiledMatrix, plus the trial axis)
     # ------------------------------------------------------------------
     @property
     def logical_shape(self) -> Tuple[int, int]:
@@ -483,43 +248,58 @@ class MonteCarloTiledMatrix:
             raise IndexError(f"trial {trial} out of range [0, {self.trials})")
         return self.seed + trial * self.trial_stride
 
+    def stored_matrices(self) -> np.ndarray:
+        """Read-back of every trial's (noisy, quantized) tiles, ``(trials, out_dim, in_dim)``."""
+        out = np.zeros((self.trials,) + self.matrix.shape, dtype=self.matrix.dtype)
+        for t, tile in enumerate(self._blocks):
+            r, c = self._programmed[t]
+            block = self._diff[:, t, :r, :c] / self._layout.span * self._layout.scales[t]
+            out[:, tile.out_start : tile.out_start + c, tile.in_start : tile.in_start + r] = (
+                block.transpose(0, 2, 1)
+            )
+        return out
+
     def stored_matrix(self, trial: int = 0) -> np.ndarray:
         """The matrix as read back from one trial's (noisy, quantized) tiles."""
         if not 0 <= trial < self.trials:
             raise IndexError(f"trial {trial} out of range [0, {self.trials})")
-        cell = self.peripherals.cell
-        span = cell.g_max - cell.g_min
-        out = np.zeros_like(self.matrix)
-        for t, tile in enumerate(self._blocks):
-            r, c = self._programmed[t]
-            block = (self._diff[trial, t, :r, :c] / span * self._scales[t]).T
-            out[
-                tile.out_start : tile.out_start + block.shape[0],
-                tile.in_start : tile.in_start + block.shape[1],
-            ] = block
-        return out
-
-    def stored_matrices(self) -> np.ndarray:
-        """Read-back of every trial, shape ``(trials, out_dim, in_dim)``."""
-        return np.stack([self.stored_matrix(trial) for trial in range(self.trials)])
+        return self.stored_matrices()[trial]
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    _quantize = BatchedTiledMatrix._quantize
+    def _quantize(self, values: np.ndarray, bits: int) -> np.ndarray:
+        """Per-(tile, vector) symmetric quantization along the last axis.
+
+        Elementwise identical to ``CrossbarArray._quantize_input`` /
+        ``_quantize_output`` applied per tile: each last-axis slice is scaled
+        by its own max-abs.  Slices whose max-abs is zero pass through.
+        """
+        max_abs = np.max(np.abs(values), axis=-1, keepdims=True)
+        levels = 2 ** bits - 1
+        safe = np.where(max_abs > 0.0, max_abs, 1.0)
+        quantized = np.round(values / safe * levels) / levels * safe
+        return np.where(max_abs > 0.0, quantized, values)
 
     def mvm_batch(self, vectors: np.ndarray) -> np.ndarray:
-        """Per-trial ``Y_r = X_r M_r^T``, one batched matmul over all trials.
+        """Per-trial ``Y_r = X_r M_r^T``, one tile-executor call over all trials.
 
         ``vectors`` is either a shared ``(batch, in_dim)`` batch — every trial
         consumes the same inputs, the common Monte-Carlo setup — or a per-trial
         ``(trials, batch, in_dim)`` stack (what a downstream low-rank stage
         receives from an upstream one).  Returns ``(trials, batch, out_dim)``.
+
+        One call performs, for every trial and allocated tile at once: DAC
+        input quantization, the analog differential-pair MVM, current-to-weight
+        rescaling and ADC output quantization, then scatter-adds the per-tile
+        partial sums into the logical output — the computation
+        ``TiledMatrix.mvm_batch`` performs tile by tile and vector by vector,
+        up to the floating-point associativity caveat in the class docstring.
         """
         if vectors.ndim == 2:
-            shared = True
+            stack = vectors[None]  # shared: prepared once, broadcast over trials
         elif vectors.ndim == 3 and vectors.shape[0] == self.trials:
-            shared = False
+            stack = vectors
         else:
             raise ValueError(
                 f"expected a (batch, in) batch or a ({self.trials}, batch, in) "
@@ -530,30 +310,20 @@ class MonteCarloTiledMatrix:
             raise ValueError(
                 f"expected inputs with last dimension {in_dim}, got {vectors.shape}"
             )
-        batch = vectors.shape[-2]
+        stacks, batch = stack.shape[:2]
         if not self._blocks:
             return self.backend.zeros((self.trials, batch, out_dim))
         rows = self.array.rows
-        padded_in = self._row_tiles * rows
-        if shared:
-            # Input preparation (padding, slicing, DAC quantization) is shared
-            # by every trial — done once, broadcast into the trial matmul.
-            x = self.backend.zeros((batch, padded_in))
-            x[:, :in_dim] = vectors
-            x = x.reshape(batch, self._row_tiles, rows).transpose(1, 0, 2)
-            if self.input_bits is not None:
-                x = self._quantize(x, self.input_bits)
-            # (row_tiles, batch, rows): the executor broadcasts over trials.
-        else:
-            x = self.backend.zeros((self.trials, batch, padded_in))
-            x[:, :, :in_dim] = vectors
-            x = x.reshape(self.trials, batch, self._row_tiles, rows).transpose(0, 2, 1, 3)
-            if self.input_bits is not None:
-                x = self._quantize(x, self.input_bits)
-            # (trials, row_tiles, batch, rows): the executor gathers per trial.
-        # Every (trial, tile, vector) MVM runs through the backend's tile
-        # executor: gather, batched matmul, rescale, ADC quantization and
-        # allocation-order scatter-add per trial.
+        # Slice every input stack into per-tile-row segments, zero-padded to
+        # the array row count: x has shape (1 | trials, row_tiles, batch, rows).
+        x = self.backend.zeros((stacks, batch, self._row_tiles * rows))
+        x[..., :in_dim] = stack
+        x = x.reshape(stacks, batch, self._row_tiles, rows).transpose(0, 2, 1, 3)
+        if self.input_bits is not None:
+            x = self._quantize(x, self.input_bits)
+        # The backend's tile executor performs the gather, the batched MVM,
+        # current-to-weight rescaling, ADC quantization and the allocation-
+        # order scatter-add per trial (see Backend.tiled_mvm and ENGINE.md).
         result = self.backend.tiled_mvm(
             x, self._exec, self._layout, self.output_bits, self._quantize
         )
@@ -561,6 +331,46 @@ class MonteCarloTiledMatrix:
         return result
 
     # ------------------------------------------------------------------
-    # Energy accounting
+    # Energy accounting (identical to the per-tile path)
     # ------------------------------------------------------------------
-    activation_energy_pj = BatchedTiledMatrix.activation_energy_pj
+    def activation_energy_pj(self) -> float:
+        """Energy of activating every allocated tile of one trial once (one MVM of the matrix)."""
+        p = self.peripherals
+        total = 0.0
+        for r, c in self._programmed:
+            dac = int(r) * p.dac.energy_per_conversion_pj
+            cells = int(r) * int(c) * p.cell.read_energy_pj * 2  # differential pair
+            adc = int(c) * p.adc.energy_per_conversion_pj
+            total += dac + cells + adc
+        return total
+
+
+@dataclass
+class BatchedTiledMatrix(MonteCarloTiledMatrix):
+    """One programming of a mapped matrix: :class:`MonteCarloTiledMatrix` with one trial.
+
+    The batched drop-in for the per-tile :class:`repro.imc.tiles.TiledMatrix`
+    (same constructor keywords, tile ``i`` seeded ``seed + i``).  Only the
+    trial axis is removed: :meth:`mvm_batch` takes and returns 2-D batches and
+    :meth:`stored_matrix` takes no trial index.
+    """
+
+    trials: int = field(default=1, init=False, repr=False)
+    trial_stride: int = field(default=TRIAL_SEED_STRIDE, init=False, repr=False)
+
+    def stored_matrix(self) -> np.ndarray:
+        """The matrix as read back from the (quantized, possibly noisy) tiles."""
+        return self.stored_matrices()[0]
+
+    def mvm_batch(self, vectors: np.ndarray) -> np.ndarray:
+        """Compute ``Y = X M^T`` for a ``(num_vectors, in_dim)`` batch."""
+        if vectors.ndim != 2:
+            raise ValueError(f"expected a 2-D batch, got shape {vectors.shape}")
+        return super().mvm_batch(vectors)[0]
+
+    def mvm(self, vector: np.ndarray) -> np.ndarray:
+        """Compute ``y = M x`` for a single input vector."""
+        out_dim, in_dim = self.matrix.shape
+        if vector.shape != (in_dim,):
+            raise ValueError(f"expected an input of shape ({in_dim},), got {vector.shape}")
+        return self.mvm_batch(vector[None, :])[0]

@@ -21,7 +21,7 @@ __all__ = ["SERVER_ENV_PREFIX", "ServerConfig"]
 SERVER_ENV_PREFIX = "REPRO_SERVER_"
 
 
-def _env_int(name: str, default: int, minimum: int = 0) -> int:
+def _env_int(name: str, default: int, minimum: int = 0, maximum: Optional[int] = None) -> int:
     raw = os.environ.get(SERVER_ENV_PREFIX + name)
     if not raw:
         return default
@@ -31,10 +31,9 @@ def _env_int(name: str, default: int, minimum: int = 0) -> int:
         raise ValueError(
             f"${SERVER_ENV_PREFIX}{name} must be an integer, got {raw!r}"
         ) from error
-    if value < minimum:
-        raise ValueError(
-            f"${SERVER_ENV_PREFIX}{name} must be >= {minimum}, got {value}"
-        )
+    if value < minimum or (maximum is not None and value > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"${SERVER_ENV_PREFIX}{name} must be {bound}, got {value}")
     return value
 
 
@@ -93,7 +92,7 @@ class ServerConfig:
         """Resolve the configuration: explicit overrides > environment > defaults."""
         values: Dict[str, Any] = {
             "host": os.environ.get(SERVER_ENV_PREFIX + "HOST", cls.host),
-            "port": _env_int("PORT", cls.port),
+            "port": _env_int("PORT", cls.port, maximum=65535),
             "store_root": os.environ.get(SERVER_ENV_PREFIX + "STORE")
             or os.environ.get("REPRO_STORE")
             or None,

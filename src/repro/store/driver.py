@@ -243,5 +243,6 @@ def resolve_driver(spec: "str | StoreDriver | None" = None) -> StoreDriver:
         return _DRIVERS[name]()
     except KeyError as error:
         raise ValueError(
-            f"unknown store driver {name!r}; registered: {', '.join(driver_names())}"
+            f"unknown store driver {name!r}; registered: {', '.join(driver_names())} "
+            f"(select one with ${DRIVER_ENV_VAR})"
         ) from error

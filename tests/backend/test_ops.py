@@ -16,6 +16,7 @@ from repro.backend import (
     FLOAT32_POLICY,
     FLOAT64_POLICY,
     ThreadedBackend,
+    TileLayout,
     get_backend,
 )
 
@@ -77,7 +78,11 @@ class TestProtocolSurface:
 
 
 class TestThreadedBitIdentity:
-    """The chunked tile executor must reproduce numpy.matmul bit-for-bit."""
+    """ThreadedBackend's protocol ops must reproduce numpy.matmul bit-for-bit.
+
+    ``batched_matmul`` is the base class's; the fused tile executor's
+    chunking is exercised by ``TestFusedTileExecutor``.
+    """
 
     @pytest.mark.parametrize(
         "a_shape,b_shape",
@@ -113,10 +118,24 @@ class TestThreadedBitIdentity:
         np.testing.assert_array_equal(threaded.batched_matmul(a, b), np.matmul(a, b))
 
     def test_worker_exception_propagates(self):
+        """A chunk raising on the pool re-raises in the caller."""
         threaded = ThreadedBackend(max_workers=2)
-        bad = np.ones((4, 3, 2))
-        with pytest.raises(ValueError):
-            threaded.batched_matmul(bad, np.ones((4, 5, 2)))  # inner dims mismatch
+        # Two output column groups -> two chunks, so the pool path runs.
+        layout = TileLayout(
+            tile_rows=np.zeros(2, dtype=np.intp),
+            out_starts=np.array([0, 2]),
+            out_lens=np.array([2, 2]),
+            scales=np.ones(2),
+            span=1.0,
+            out_dim=4,
+        )
+
+        def quantize(values, bits):
+            raise ValueError("quantizer failed")
+
+        with pytest.raises(ValueError, match="quantizer failed"):
+            threaded.tiled_mvm(np.ones((1, 1, 3, 4)), np.ones((1, 2, 4, 2)), layout, 4, quantize)
+        assert threaded._pool is not None
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
@@ -125,6 +144,12 @@ class TestThreadedBitIdentity:
     def test_respects_threads_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND_THREADS", "3")
         assert ThreadedBackend().max_workers == 3
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_invalid_threads_env_is_named(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_BACKEND_THREADS", value)
+        with pytest.raises(ValueError, match=r"\$REPRO_BACKEND_THREADS"):
+            ThreadedBackend()
 
 
 class TestFusedTileExecutor:

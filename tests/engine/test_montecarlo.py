@@ -7,6 +7,9 @@ sequential per-trial run that builds a fresh :class:`BatchedTiledMatrix` (or
 legacy :class:`TiledMatrix`) with seed ``seed + t · trial_stride``.  Programmed
 conductances are therefore bit-for-bit identical per trial; analog outputs
 agree up to floating-point associativity like the rest of the engine.
+
+:class:`BatchedTiledMatrix` is the kernel's one-trial case, so output checks
+use the independent per-tile :class:`TiledMatrix` as their sequential oracle.
 """
 
 from __future__ import annotations
@@ -80,6 +83,20 @@ class TestTrialBitIdentity:
         np.testing.assert_array_equal(mc.stored_matrix(1), sequential.stored_matrix())
 
 
+    @pytest.mark.parametrize("bits", [None, 6])
+    def test_batched_is_the_one_trial_case(self, rng, small_array, bits):
+        """BatchedTiledMatrix is MonteCarloTiledMatrix(trials=1), bit for bit."""
+        matrix = rng.standard_normal((40, 70))
+        kwargs = dict(noise=NoiseModel.typical(), seed=9, input_bits=bits, output_bits=bits)
+        batched = BatchedTiledMatrix(matrix, small_array, **kwargs)
+        mc = MonteCarloTiledMatrix(matrix, small_array, trials=1, **kwargs)
+        np.testing.assert_array_equal(batched.stored_matrix(), mc.stored_matrix(0))
+        inputs = rng.standard_normal((5, 70))
+        np.testing.assert_array_equal(batched.mvm_batch(inputs), mc.mvm_batch(inputs)[0])
+        assert batched.total_activations == mc.total_activations == 5 * mc.num_allocated_tiles
+        assert batched.activation_energy_pj() == mc.activation_energy_pj()
+
+
 class TestTrialOutputs:
     @pytest.mark.parametrize("noise_name", sorted(NOISE_MODELS))
     def test_outputs_match_sequential_runs(self, rng, small_array, noise_name):
@@ -90,9 +107,7 @@ class TestTrialOutputs:
         outputs = mc.mvm_batch(inputs)
         assert outputs.shape == (3, 5, 40)
         for trial in range(3):
-            sequential = BatchedTiledMatrix(
-                matrix, small_array, noise=noise, seed=mc.trial_seed(trial)
-            )
+            sequential = TiledMatrix(matrix, small_array, noise=noise, seed=mc.trial_seed(trial))
             assert_outputs_match(outputs[trial], sequential.mvm_batch(inputs))
 
     def test_quantized_paths_match_sequential(self, rng, small_array):
@@ -105,7 +120,7 @@ class TestTrialOutputs:
         )
         outputs = mc.mvm_batch(inputs)
         for trial in range(2):
-            sequential = BatchedTiledMatrix(
+            sequential = TiledMatrix(
                 matrix,
                 small_array,
                 noise=noise,
@@ -124,9 +139,7 @@ class TestTrialOutputs:
         stacked = rng.standard_normal((3, 4, 40))
         outputs = mc.mvm_batch(stacked)
         for trial in range(3):
-            sequential = BatchedTiledMatrix(
-                matrix, small_array, noise=noise, seed=mc.trial_seed(trial)
-            )
+            sequential = TiledMatrix(matrix, small_array, noise=noise, seed=mc.trial_seed(trial))
             assert_outputs_match(outputs[trial], sequential.mvm_batch(stacked[trial]))
 
     def test_accounting_matches_sequential_totals(self, rng, small_array):

@@ -57,6 +57,10 @@ class TestParser:
             (["robustness", "--trials", "0"], "--trials"),
             (["layer_families", "--trials", "-1"], "--trials"),
             (["report", "--arrays", "64", "0"], "--arrays"),
+            (["report", "--jobs", "0"], "--jobs"),
+            (["robustness", "--jobs", "-5"], "--jobs"),
+            (["layer_families", "--jobs", "0"], "--jobs"),
+            (["serve", "--port", "70000"], "--port"),
         ],
     )
     def test_out_of_range_value_is_a_usage_error(self, argv, flag, capsys):
@@ -241,6 +245,16 @@ class TestStoreCli:
         assert main(["--store", str(store_dir), "store", "gc"]) == 0
         out = capsys.readouterr().out
         assert "pruned 1 stale worker heartbeats" in out
+
+    def test_unknown_env_store_driver_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_DRIVER", "bogus")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--store", str(tmp_path / "s"), "table1"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: unknown store driver 'bogus'" in captured.err
+        assert "$REPRO_STORE_DRIVER" in captured.err
+        assert captured.out == ""
 
     def test_store_env_var_is_the_default(self, tmp_path, capsys, monkeypatch):
         from repro.engine.cache import default_decomposition_cache
