@@ -17,9 +17,10 @@ Four backends ship registered (see ENGINE.md, "Execution backends"):
   raises :class:`BackendUnavailableError` naming the ``repro[compiled]``
   extra instead of crashing on import.
 
-Selection precedence: explicit ``backend=`` argument > the CLI/process
-default (:func:`using_backend` / :func:`set_default_backend`, the global
-``--backend`` flag) > ``$REPRO_BACKEND`` > ``numpy64``.
+Selection precedence: explicit ``backend=`` argument > the calling thread's
+innermost :func:`using_backend` scope (the global ``--backend`` flag opens
+one) > the process-wide :func:`set_default_backend` default >
+``$REPRO_BACKEND`` > ``numpy64``.
 """
 
 from .compiled import (

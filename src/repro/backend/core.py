@@ -16,8 +16,9 @@ backend bundles two orthogonal choices:
 Backends are registered by name and resolved in a fixed precedence order:
 
 1. an explicit ``backend=`` argument (a name or a :class:`Backend` instance),
-2. the process default installed by :func:`using_backend` /
-   :func:`set_default_backend` (the CLI's global ``--backend`` flag),
+2. the innermost :func:`using_backend` scope open in the calling thread (the
+   CLI's global ``--backend`` flag opens one), then the process-wide default
+   installed by :func:`set_default_backend`,
 3. the ``$REPRO_BACKEND`` environment variable,
 4. the built-in default, ``numpy64``.
 
@@ -33,8 +34,9 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -308,21 +310,20 @@ _AVAILABILITY: Dict[str, Callable[[], Optional[str]]] = {}
 _HINTS: Dict[str, str] = {}
 _REGISTRY_LOCK = threading.Lock()
 
-#: Open using_backend scopes, innermost last.  Entries are unique token
-#: objects paired with a backend (a registered name, or a Backend instance
-#: passed directly — custom instances scope as themselves); scope exit
-#: removes its own token (by
-#: identity) rather than popping the top, so scopes that happen to unwind
-#: out of push order — e.g. from different threads — never corrupt each
-#: other.  The scoped default is deliberately process-wide, not
-#: thread-local: a scope wrapping a parallel sweep must be visible to the
-#: pool's worker threads.  Concurrently open scopes naming *different*
-#: backends are therefore unsupported (the innermost push wins globally) —
-#: pass ``backend=`` explicitly instead of nesting scopes across threads.
-_SCOPES: List[Tuple[object, Union[str, "Backend"]]] = []
+#: The using_backend scopes open in the current context, innermost last.
+#: Entries are unique token objects paired with the scoped Backend instance
+#: (a custom instance scopes as itself); scope exit removes its own token
+#: (by identity) rather than popping the top, so scopes that unwind out of
+#: push order never corrupt each other.  A ContextVar makes scopes
+#: per-thread: a new thread starts with none and resolves through the
+#: process default, so concurrent server jobs naming different backends
+#: never see each other's scope.
+_SCOPES: ContextVar[Tuple[Tuple[object, "Backend"], ...]] = ContextVar(
+    "repro_backend_scopes", default=()
+)
 
-#: Process-wide default installed by set_default_backend (the CLI's
-#: ``--backend``); sits under every open scope and over ``$REPRO_BACKEND``.
+#: Process-wide default installed by set_default_backend; every thread sees
+#: it under its own open scopes and over ``$REPRO_BACKEND``.
 _PROCESS_DEFAULT: Optional[str] = None
 
 
@@ -444,9 +445,9 @@ def registered_salt_tokens() -> Tuple[str, ...]:
 # ----------------------------------------------------------------------
 def default_backend_name() -> str:
     """The active default: open scope > process default > ``$REPRO_BACKEND`` > ``numpy64``."""
-    if _SCOPES:
-        scoped = _SCOPES[-1][1]
-        return scoped if isinstance(scoped, str) else scoped.name
+    scopes = _SCOPES.get()
+    if scopes:
+        return scopes[-1][1].name
     if _PROCESS_DEFAULT is not None:
         return _PROCESS_DEFAULT
     return os.environ.get(ENV_VAR) or DEFAULT_BACKEND_NAME
@@ -466,11 +467,10 @@ def set_default_backend(name: Optional[str]) -> None:
 
 def active_backend() -> Backend:
     """The backend every unqualified construction resolves to right now."""
-    if _SCOPES:
-        scoped = _SCOPES[-1][1]
-        # A Backend instance scopes as itself (its configuration included);
-        # a name resolves through the registry.
-        return get_backend(scoped) if isinstance(scoped, str) else scoped
+    scopes = _SCOPES.get()
+    if scopes:
+        # A scoped instance is returned as itself, its configuration included.
+        return scopes[-1][1]
     return get_backend(default_backend_name())
 
 
@@ -499,28 +499,20 @@ def using_backend(spec: Union[str, Backend, None]) -> Iterator[Backend]:
 
     ``None`` is a no-op scope (the surrounding default stays active), which
     lets a runner accept ``backend=None`` and simply wrap its body.
-    The scope is process-wide — worker threads a wrapped sweep spawns see it
-    — so do not open scopes naming *different* backends concurrently from
-    separate threads (see the ``_SCOPES`` note above).
+    The scope is per-thread (see the ``_SCOPES`` note above): threads started
+    inside it do not see it, and other threads' scopes never leak into it.
     """
     if spec is None:
         yield active_backend()
         return
-    if isinstance(spec, Backend):
-        # A passed instance becomes the scoped default as-is — its own
-        # configuration (e.g. a custom worker bound) included, registered
-        # or not.
-        backend: Union[str, Backend] = spec
-    else:
-        backend = get_backend(str(spec))
+    # A passed instance becomes the scoped default as-is — its own
+    # configuration (e.g. a custom worker bound) included, registered or not.
+    backend = spec if isinstance(spec, Backend) else get_backend(str(spec))
     token = object()
-    _SCOPES.append((token, backend))
+    _SCOPES.set(_SCOPES.get() + ((token, backend),))
     try:
         yield backend
     finally:
         # Remove this scope's own entry (wherever it sits) instead of
         # popping the top: out-of-order exits never corrupt other scopes.
-        for index in range(len(_SCOPES) - 1, -1, -1):
-            if _SCOPES[index][0] is token:
-                del _SCOPES[index]
-                break
+        _SCOPES.set(tuple(entry for entry in _SCOPES.get() if entry[0] is not token))

@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
              "default: $REPRO_BACKEND, else numpy64)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_positive_int, default=None, metavar="N",
         help="run experiment sweeps in N worker processes with store-shard "
              "work stealing (default: $REPRO_WORKERS, else 1; "
              "--workers 4 output is byte-identical to --workers 1)",
@@ -266,10 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the Fig. 6 array-size sweep (e.g. --arrays 64 128)",
     )
     report.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="run the experiment harnesses concurrently with this many workers",
-    )
-    report.add_argument(
         "--json", type=str, default="", dest="json_path",
         help="also write a machine-readable JSON report to this file",
     )
@@ -285,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps the subcommand-position flag from clobbering the global
     # one with its default when absent (argparse subparser-default semantics).
     report.add_argument(
-        "--workers", type=int, dest="workers", default=argparse.SUPPRESS, metavar="N",
+        "--workers", type=_positive_int, dest="workers", default=argparse.SUPPRESS, metavar="N",
         help="same as the global --workers, accepted after the subcommand too",
     )
 
@@ -309,15 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--array", type=int, choices=(32, 64, 128), default=64, help="crossbar array size"
     )
     robustness.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="run the (network, scenario) sweep cells concurrently with this many workers",
-    )
-    robustness.add_argument(
         "--json", type=str, default="", dest="json_path",
         help="also write the machine-readable robustness result to this file",
     )
     robustness.add_argument(
-        "--workers", type=int, dest="workers", default=argparse.SUPPRESS, metavar="N",
+        "--workers", type=_positive_int, dest="workers", default=argparse.SUPPRESS, metavar="N",
         help="same as the global --workers, accepted after the subcommand too",
     )
 
@@ -341,15 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--array", type=int, choices=(32, 64, 128), default=64, help="crossbar array size"
     )
     layer_families.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="run the (family, scenario) sweep cells concurrently with this many workers",
-    )
-    layer_families.add_argument(
         "--json", type=str, default="", dest="json_path",
         help="also write the machine-readable layer-families result to this file",
     )
     layer_families.add_argument(
-        "--workers", type=int, dest="workers", default=argparse.SUPPRESS, metavar="N",
+        "--workers", type=_positive_int, dest="workers", default=argparse.SUPPRESS, metavar="N",
         help="same as the global --workers, accepted after the subcommand too",
     )
 
@@ -421,7 +409,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as error:
         parser.error(str(error))
     try:
-        # Same for the worker count (--workers 0, a non-integer $REPRO_WORKERS).
+        # Same for $REPRO_WORKERS (a non-integer or non-positive count).
         # Whether the count was an explicit flag (vs. $REPRO_WORKERS) matters
         # to --shard: an env default must not reject an external partition.
         args.workers_explicit = args.workers is not None
@@ -476,16 +464,12 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser, store) 
             shard,
             store,
             include_fig6_arrays=args.arrays,
-            parallel=args.jobs > 1,
-            max_workers=args.jobs if args.jobs > 1 else None,
             robustness_trials=args.trials,
         )
         text = format_shard_summary(stats)
     elif args.command == "report":
         suite = run_all(
             include_fig6_arrays=args.arrays,
-            parallel=args.jobs > 1,
-            max_workers=args.jobs if args.jobs > 1 else None,
             robustness_trials=args.trials,
             store=store,
             workers=args.workers,
@@ -503,8 +487,6 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser, store) 
             scenarios=tuple(args.scenarios) if args.scenarios else None,
             trials=args.trials,
             array_size=args.array,
-            parallel=args.jobs > 1,
-            max_workers=args.jobs if args.jobs > 1 else None,
             store=store,
             workers=args.workers,
         )
@@ -521,8 +503,6 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser, store) 
             scenarios=tuple(args.scenarios) if args.scenarios else None,
             trials=args.trials,
             array_size=args.array,
-            parallel=args.jobs > 1,
-            max_workers=args.jobs if args.jobs > 1 else None,
             store=store,
             workers=args.workers,
         )

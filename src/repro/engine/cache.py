@@ -84,9 +84,9 @@ class DecompositionCache:
         self._svds: "OrderedDict[object, Tuple[np.ndarray, np.ndarray, np.ndarray]]" = (
             OrderedDict()
         )
-        # The module-level default cache is shared across map_sweep's thread
-        # pool; the LRU bookkeeping (move_to_end / popitem) must not race.
-        # SVD computation and store I/O happen outside the lock.
+        # The module-level default cache is shared by concurrent server jobs
+        # (one thread each); the LRU bookkeeping (move_to_end / popitem) must
+        # not race.  SVD computation and store I/O happen outside the lock.
         self._lock = threading.Lock()
         self._store = None
         self.hits = 0

@@ -1,13 +1,13 @@
-"""Experiment layer: sweep registry, parallel + incremental sweep mapping.
+"""Experiment layer: sweep registry and incremental sweep mapping.
 
 Every paper artefact (Table I, Figs. 6–9 and the robustness and
 layer-families sweeps) registers an :class:`ExperimentSpec` declaring its
 grid, cell function, cell key and assembly; :meth:`ExperimentSpec.run` is the
-one driver that executes any of them — serial or thread pool, storeless or
-incremental, one shard, or worker processes.  :func:`run_experiments` runs
-several registered experiments, optionally concurrently via
-:mod:`concurrent.futures`, and :func:`to_jsonable` turns any result
-dataclass tree into machine-readable JSON for the report emitter.
+one driver that executes any of them — storeless or incremental, one shard,
+or in worker processes (:mod:`repro.parallel`, the only way a sweep uses
+more than one core).  :func:`run_experiments` runs several registered
+experiments, and :func:`to_jsonable` turns any result dataclass tree into
+machine-readable JSON for the report emitter.
 
 With a :class:`SweepCache` (an :class:`repro.store.ExperimentStore` plus the
 cell key schema of one sweep), :func:`map_sweep` becomes *incremental*: each
@@ -22,7 +22,6 @@ without coordinating beyond the shared store).
 from __future__ import annotations
 
 import inspect
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -48,8 +47,7 @@ class ExperimentSpec:
     """One registered paper artefact, declared as a grid of store-keyed cells.
 
     A harness declares *what* it computes; :meth:`run` is the one driver that
-    decides *how* (serial or thread pool, storeless or incremental, one shard,
-    or worker processes):
+    decides *how* (storeless or incremental, one shard, or worker processes):
 
     * ``kind`` — the store artifact family of one cell (e.g. ``fig6/panel``);
     * ``grid(**params)`` — the sweep points of one run.  Its signature
@@ -64,9 +62,7 @@ class ExperimentSpec:
       order) and the run's parameters (``cells`` positional-only, so a
       parameter may share its name);
     * ``formatter(result, include_plots=False)`` renders the report block and
-      ``serializer`` (default :func:`to_jsonable`) the JSON document;
-    * ``warm(**params)`` (optional) fills shared caches serially before a
-      thread-pool run, so concurrent cells read them instead of racing.
+      ``serializer`` (default :func:`to_jsonable`) the JSON document.
     """
 
     name: str
@@ -79,7 +75,6 @@ class ExperimentSpec:
     assemble: Callable[..., Any]
     formatter: Callable[..., str]
     serializer: Optional[Callable[[Any], Any]] = None
-    warm: Optional[Callable[..., None]] = None
 
     def params(self, **overrides: Any) -> Dict[str, Any]:
         """The science parameters of one run: ``overrides`` over the grid's defaults."""
@@ -90,8 +85,6 @@ class ExperimentSpec:
     def run(
         self,
         *,
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
         store: Optional[ExperimentStore] = None,
         shard: Optional[Tuple[int, int]] = None,
         workers: Optional[int] = None,
@@ -99,11 +92,11 @@ class ExperimentSpec:
     ) -> Any:
         """Run the experiment over its grid; ``overrides`` are science parameters.
 
-        ``parallel``/``max_workers`` compute the cells in a thread pool.  With
-        ``store`` the sweep is incremental (cells already materialized are
-        decoded, fresh ones persisted); with ``shard=(k, n)`` only the cells
-        shard ``k`` owns are computed and a :class:`ShardStats` summary is
-        returned instead of a result.  ``workers > 1`` (default
+        The cells are computed one at a time, in grid order.  With ``store``
+        the sweep is incremental (cells already materialized are decoded,
+        fresh ones persisted); with ``shard=(k, n)`` only the cells shard
+        ``k`` owns are computed and a :class:`ShardStats` summary is returned
+        instead of a result.  ``workers > 1`` (default
         ``$REPRO_WORKERS``) computes the grid in worker processes with
         store-shard work stealing (:mod:`repro.parallel`) and assembles it
         from the store, byte-identical to a serial run.  The execution
@@ -125,16 +118,7 @@ class ExperimentSpec:
             if store is not None
             else None
         )
-        if parallel and self.warm is not None:
-            self.warm(**params)
-        cells = map_sweep(
-            self.cell,
-            points,
-            parallel=parallel,
-            max_workers=max_workers,
-            cache=cache,
-            shard=shard,
-        )
+        cells = map_sweep(self.cell, points, cache=cache, shard=shard)
         if shard is not None:
             return cells
         return self.assemble(cells, **params)
@@ -257,32 +241,16 @@ def shard_owns(fingerprint: str, k: int, n: int) -> bool:
     return int(fingerprint[:8], 16) % n == k - 1
 
 
-def _run_points(
-    fn: Callable[..., Any],
-    args_list: Sequence[Tuple[Any, ...]],
-    parallel: bool,
-    max_workers: Optional[int],
-) -> List[Any]:
-    if not parallel or len(args_list) <= 1:
-        return [fn(*args) for args in args_list]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda args: fn(*args), args_list))
-
-
 def map_sweep(
     fn: Callable[..., Any],
     points: Sequence[Any],
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
     cache: Optional[SweepCache] = None,
     shard: Optional[Tuple[int, int]] = None,
 ) -> Any:
-    """Apply ``fn`` to every sweep point, optionally via a thread pool.
+    """Apply ``fn`` to every sweep point, one at a time, in order.
 
     Sweep points are tuples of positional arguments (bare values are treated
-    as 1-tuples).  Results keep the order of ``points``.  Threads are the
-    right pool here: the work is numpy/BLAS-bound, which releases the GIL, and
-    the engine's module-level memoization caches stay shared.
+    as 1-tuples).  Results keep the order of ``points``.
 
     With ``cache`` the sweep is incremental: cells whose fingerprint is
     already materialized in the store are decoded instead of recomputed, and
@@ -298,7 +266,7 @@ def map_sweep(
     if cache is None:
         if shard is not None:
             raise ValueError("sharded execution requires a sweep cache (a store)")
-        return _run_points(fn, args_list, parallel, max_workers)
+        return [fn(*args) for args in args_list]
 
     fingerprints = [cache.fingerprint(args) for args in args_list]
     if shard is not None:
@@ -312,58 +280,41 @@ def map_sweep(
                 stats.resumed += 1
             else:
                 todo.append((args, fingerprint))
-
-        def compute_and_store(args: Tuple[Any, ...], fingerprint: str) -> None:
+        for args, fingerprint in todo:
             cache.save(fingerprint, fn(*args))
-
-        _run_points(compute_and_store, todo, parallel, max_workers)
         stats.computed = len(todo)
         return stats
 
-    results: List[Any] = [None] * len(args_list)
-    missing: List[Tuple[int, Tuple[Any, ...], str]] = []
-    for index, (args, fingerprint) in enumerate(zip(args_list, fingerprints)):
-        cached = cache.load(fingerprint)
-        if cached is not SweepCache._MISS:
-            results[index] = cached
-        else:
-            missing.append((index, args, fingerprint))
-
-    def compute_one(index: int, args: Tuple[Any, ...], fingerprint: str) -> Any:
-        result = fn(*args)
-        cache.save(fingerprint, result)
-        return result
-
-    computed = _run_points(compute_one, missing, parallel, max_workers)
-    for (index, _, _), result in zip(missing, computed):
-        results[index] = result
+    results: List[Any] = []
+    for args, fingerprint in zip(args_list, fingerprints):
+        result = cache.load(fingerprint)
+        if result is SweepCache._MISS:
+            result = fn(*args)
+            cache.save(fingerprint, result)
+        results.append(result)
     return results
 
 
 def run_experiments(
     names: Optional[Sequence[str]] = None,
     overrides: Optional[Mapping[str, Mapping[str, Any]]] = None,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Execute registered experiments and return ``{name: result}``.
+    """Execute registered experiments, in order, and return ``{name: result}``.
 
     ``overrides`` maps experiment names to keyword arguments forwarded to the
-    harness (e.g. ``{"fig6": {"array_sizes": (64, 128)}}``).  With
-    ``parallel=True`` the experiments run concurrently in a thread pool; the
-    shared workload / decomposition caches make this safe and keep the work
-    deduplicated.  ``backend`` scopes the execution backend every harness
-    (and its fingerprint salting) runs under; ``None`` keeps the active
-    default.
+    harness (e.g. ``{"fig6": {"array_sizes": (64, 128)}}``).  ``backend``
+    scopes the execution backend every harness (and its fingerprint salting)
+    runs under; ``None`` keeps the active default.
 
     ``workers`` (default: ``$REPRO_WORKERS``, else 1) scales the run across
-    worker *processes* instead: the grids are partitioned into
-    fingerprint-hash shards, workers claim shards through store leases
-    (:mod:`repro.parallel`), and the results are assembled from the shared
-    store — byte-identical to a serial run.  Process parallelism subsumes the
-    thread pool (``parallel``/``max_workers`` are ignored with ``workers > 1``).
+    worker *processes*: the grids are partitioned into fingerprint-hash
+    shards, workers claim shards through store leases (:mod:`repro.parallel`),
+    and the results are assembled from the shared store — byte-identical to
+    a serial run.  A serial run (one worker, or an embedded shard) runs every
+    experiment with ``workers=1``, so ``$REPRO_WORKERS`` cannot re-partition
+    it experiment by experiment.
     """
     registry = experiment_registry()
     if names is None:
@@ -388,12 +339,11 @@ def run_experiments(
             selected, overrides, workers=resolve_workers(workers), backend=backend
         )
 
-    def run_one(name: str) -> Any:
-        return registry[name].run(**dict(overrides.get(name, {})))
-
     with using_backend(backend):
-        results = map_sweep(run_one, selected, parallel=parallel, max_workers=max_workers)
-    return dict(zip(selected, results))
+        return {
+            name: registry[name].run(**{**overrides.get(name, {}), "workers": 1})
+            for name in selected
+        }
 
 
 def to_jsonable(value: Any) -> Any:

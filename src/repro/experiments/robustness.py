@@ -275,12 +275,6 @@ def _robustness_grid(
     ]
 
 
-def _warm_calibration(networks: Sequence[str], **_: Any) -> None:
-    """Fill the proxy calibration caches serially before a thread-pool run."""
-    for network in networks:
-        get_workload(network).proxy._calibration_curve()
-
-
 def _robustness_result(
     cells: Sequence[List[RobustnessPoint]],
     /,
@@ -360,7 +354,6 @@ ROBUSTNESS = register_experiment(
         result_type=List[RobustnessPoint],
         assemble=_robustness_result,
         formatter=format_robustness,
-        warm=_warm_calibration,
     )
 )
 #: Sweep scenario × mapping × network (see :meth:`ExperimentSpec.run`).

@@ -12,12 +12,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from ..backend import using_backend
 from ..engine.cache import default_decomposition_cache
 from ..engine.sweep import ShardStats, experiment_registry, run_experiments
-from ..parallel import resolve_workers
 from ..store import ExperimentStore
-from .common import get_workload
 from .fig6 import headline_metrics
 from .fig8 import quantization_speedup
 from .fig9 import iso_accuracy_speedup
@@ -104,15 +101,12 @@ def _run_suite(
     trials: int,
     store: Optional[ExperimentStore],
     shard: Optional[Tuple[int, int]],
-    parallel: bool,
-    max_workers: Optional[int],
     backend: Optional[str],
     workers: Optional[int],
 ) -> Dict[str, Any]:
     overrides = suite_overrides(SUITE_EXPERIMENTS, arrays, trials)
     # Attach (or drop) the store's second-level SVD cache before any SVD runs,
-    # so the warm-up below spills/refills through it too — and a storeless
-    # call never leaks a previously attached store.
+    # so a storeless call never leaks a previously attached store.
     if store is None:
         default_decomposition_cache.detach_store()
     else:
@@ -121,27 +115,13 @@ def _run_suite(
             override["store"] = store
             if shard is not None:
                 override["shard"] = shard
-    with using_backend(backend):
-        # Warm the shared workload cache (and its proxy calibration SVDs)
-        # serially so concurrent harnesses read the caches instead of racing
-        # to fill them.  Process workers warm their own copies (the first
-        # spills the SVDs through the shared store; siblings refill).
-        if parallel and (shard is not None or resolve_workers(workers) == 1):
-            for network in ("resnet20", "wrn16_4"):
-                get_workload(network).proxy._calibration_curve()
-        return run_experiments(
-            names=SUITE_EXPERIMENTS,
-            overrides=overrides,
-            parallel=parallel,
-            max_workers=max_workers,
-            workers=workers,
-        )
+    return run_experiments(
+        names=SUITE_EXPERIMENTS, overrides=overrides, backend=backend, workers=workers
+    )
 
 
 def run_all(
     include_fig6_arrays: Optional[Sequence[int]] = None,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
     robustness_trials: int = 8,
     store: Optional[ExperimentStore] = None,
     backend: Optional[str] = None,
@@ -150,8 +130,7 @@ def run_all(
     """Execute every suite experiment with the paper's default sweeps.
 
     ``include_fig6_arrays`` restricts the Fig. 6 array-size sweep (the CLI's
-    ``--arrays``); ``parallel`` runs the harnesses concurrently through the
-    registry runner; ``robustness_trials`` sets the Monte-Carlo trial count of
+    ``--arrays``); ``robustness_trials`` sets the Monte-Carlo trial count of
     the scenario robustness and layer-families sweeps.  With ``store`` the run is incremental:
     grid cells already materialized in the store are decoded instead of
     recomputed (a fully warm store makes this a pure assembly pass), and every
@@ -166,8 +145,8 @@ def run_all(
     ephemeral one for the duration of the run.
     """
     results = _run_suite(
-        include_fig6_arrays, robustness_trials, store, shard=None, parallel=parallel,
-        max_workers=max_workers, backend=backend, workers=workers,
+        include_fig6_arrays, robustness_trials, store, shard=None, backend=backend,
+        workers=workers,
     )
     return ExperimentSuite(**results)
 
@@ -176,8 +155,6 @@ def run_shard(
     shard: Tuple[int, int],
     store: ExperimentStore,
     include_fig6_arrays: Optional[Sequence[int]] = None,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
     robustness_trials: int = 8,
     backend: Optional[str] = None,
 ) -> Dict[str, ShardStats]:
@@ -191,8 +168,8 @@ def run_shard(
     the materialized cells.
     """
     return _run_suite(
-        include_fig6_arrays, robustness_trials, store, shard=shard, parallel=parallel,
-        max_workers=max_workers, backend=backend, workers=None,
+        include_fig6_arrays, robustness_trials, store, shard=shard, backend=backend,
+        workers=None,
     )
 
 

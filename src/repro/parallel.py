@@ -541,12 +541,12 @@ def run_experiments_parallel(
             lease_ttl=lease_ttl,
         )
         # Warm assembly: every cell is materialized, so this pass decodes
-        # instead of computing.  workers=1 everywhere prevents recursion.
+        # instead of computing.  workers=1 runs every experiment serially,
+        # which prevents recursion.
         from .engine.sweep import run_experiments
 
         assembly_overrides = {
-            name: {**worker_overrides[name], "store": store, "workers": 1}
-            for name in names
+            name: {**worker_overrides[name], "store": store} for name in names
         }
         default_decomposition_cache.attach_store(store)
         return run_experiments(

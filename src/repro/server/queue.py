@@ -14,9 +14,9 @@ store under the job id, which buys two properties for free:
   recognizes an already-computed spec at submission time and marks the job
   done without launching anything.
 
-Jobs naming *different* execution backends are serialized through a gate:
-``using_backend`` scopes are process-wide, so two threads must never hold
-scopes naming different backends at once (same-backend jobs still overlap).
+Jobs overlap whatever execution backend they name: each job opens its own
+``using_backend`` scope in its own thread, and scopes are per-thread, so
+neither another job nor a concurrent request parse sees it.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..engine.sweep import run_experiments
 from ..experiments.runner import results_to_json, run_all, suite_overrides, suite_to_json
@@ -120,38 +119,6 @@ def execute_sweep(spec: SweepSpec, store: ExperimentStore) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
-class _BackendGate:
-    """Serialize jobs across *different* backends, overlap same-backend ones.
-
-    ``using_backend`` scopes are process-wide (see
-    :mod:`repro.backend.core`), so two concurrently-running jobs naming
-    different backends would corrupt each other's kernel dispatch and store
-    salting.  The gate admits any number of jobs sharing one backend name
-    and parks everyone else until the count drains.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._active: Optional[str] = None
-        self._count = 0
-
-    @contextmanager
-    def admitted(self, backend: str) -> Iterator[None]:
-        with self._cond:
-            while self._count and self._active != backend:
-                self._cond.wait()
-            self._active = backend
-            self._count += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._count -= 1
-                if self._count == 0:
-                    self._active = None
-                self._cond.notify_all()
-
-
 class JobQueue:
     """Deduplicating sweep scheduler over one store and a bounded pool."""
 
@@ -166,7 +133,6 @@ class JobQueue:
         self.clock = clock
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()
-        self._gate = _BackendGate()
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.max_concurrent_jobs,
             thread_name_prefix="repro-sweep",
@@ -263,21 +229,20 @@ class JobQueue:
     # Execution
     # ------------------------------------------------------------------
     def _run(self, job: Job) -> None:
-        with self._gate.admitted(job.spec.backend):
-            job.state = JobState.RUNNING
-            job.started = self.clock()
-            job.launches += 1
-            try:
-                text = execute_sweep(job.spec, self.store)
-                self.store.put(
-                    REPORT_KIND,
-                    job.id,
-                    {"report": text},
-                    meta={"experiments": list(job.spec.experiments)},
-                )
-                job.state = JobState.DONE
-            except Exception as error:  # surfaced through GET /jobs/{id}
-                job.error = f"{type(error).__name__}: {error}"
-                job.state = JobState.FAILED
-            finally:
-                job.finished = self.clock()
+        job.state = JobState.RUNNING
+        job.started = self.clock()
+        job.launches += 1
+        try:
+            text = execute_sweep(job.spec, self.store)
+            self.store.put(
+                REPORT_KIND,
+                job.id,
+                {"report": text},
+                meta={"experiments": list(job.spec.experiments)},
+            )
+            job.state = JobState.DONE
+        except Exception as error:  # surfaced through GET /jobs/{id}
+            job.error = f"{type(error).__name__}: {error}"
+            job.state = JobState.FAILED
+        finally:
+            job.finished = self.clock()

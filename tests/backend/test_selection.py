@@ -1,11 +1,13 @@
 """Backend selection and resolution precedence tests.
 
-Precedence: explicit argument > process default (``using_backend`` /
-``set_default_backend``, the CLI ``--backend``) > ``$REPRO_BACKEND`` >
-``numpy64``.
+Precedence: explicit argument > the calling thread's ``using_backend`` scope
+(the CLI ``--backend``) > the process default (``set_default_backend``) >
+``$REPRO_BACKEND`` > ``numpy64``.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
@@ -107,6 +109,47 @@ class TestPrecedence:
             with using_backend("numpy32"):
                 raise RuntimeError("boom")
         assert active_backend().name == "numpy64"
+
+
+class TestThreadScopes:
+    def test_concurrent_threads_hold_their_own_scopes(self):
+        """Two threads with scopes naming different backends open at once each
+        resolve to their own — neither scope leaks into the other thread."""
+        barrier = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def hold(name):
+            with using_backend(name):
+                barrier.wait()  # both scopes are open now
+                seen[name] = active_backend().name
+                barrier.wait()  # neither closes before both have looked
+
+        threads = [threading.Thread(target=hold, args=(name,)) for name in ("numpy32", "threaded")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert seen == {"numpy32": "numpy32", "threaded": "threaded"}
+
+    def test_thread_started_inside_a_scope_sees_no_scope(self, monkeypatch):
+        """A new thread resolves through the process default, not the scope
+        open in the thread that started it."""
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        seen = []
+
+        def look():
+            seen.append(active_backend().name)
+
+        with using_backend("numpy32"):
+            thread = threading.Thread(target=look)
+            thread.start()
+            thread.join()
+            set_default_backend("threaded")
+            thread = threading.Thread(target=look)
+            thread.start()
+            thread.join()
+            assert active_backend().name == "numpy32"
+        assert seen == ["numpy64", "threaded"]
 
 
 class TestResolve:

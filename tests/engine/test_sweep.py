@@ -79,25 +79,38 @@ class TestRegistry:
 
             sweep_module._REGISTRY.pop("_test_dummy", None)
 
+    def test_explicit_single_worker_beats_env_workers(self, monkeypatch):
+        """`run_experiments(workers=1)` runs serially under `$REPRO_WORKERS=2`:
+        no experiment re-reads the environment and starts its own worker pool."""
+        import repro.parallel as parallel_module
+        from repro.engine import sweep as sweep_module
+
+        def no_worker_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started despite workers=1")
+
+        spec = ExperimentSpec(
+            name="_test_serial",
+            title="serial",
+            kind="_test/serial",
+            grid=lambda: [(1,), (2,)],
+            cell=lambda x: 10 * x,
+            cell_key=lambda x: {"x": x},
+            result_type=int,
+            assemble=lambda cells, /, **_: sum(cells),
+            formatter=lambda r, include_plots=False: str(r),
+        )
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        monkeypatch.setattr(parallel_module, "run_experiments_parallel", no_worker_pool)
+        register_experiment(spec)
+        try:
+            assert run_experiments(names=("_test_serial",), workers=1) == {"_test_serial": 30}
+        finally:
+            sweep_module._REGISTRY.pop("_test_serial", None)
+
 
 class TestMapSweep:
-    def test_serial_and_parallel_agree(self):
-        points = [(i, i + 1) for i in range(20)]
-        serial = map_sweep(lambda a, b: a * b, points)
-        parallel = map_sweep(lambda a, b: a * b, points, parallel=True, max_workers=4)
-        assert serial == parallel
-
     def test_bare_values_treated_as_single_argument(self):
         assert map_sweep(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-
-    def test_order_preserved_under_parallelism(self):
-        import time
-
-        def slow_then_fast(i):
-            time.sleep(0.01 if i == 0 else 0.0)
-            return i
-
-        assert map_sweep(slow_then_fast, list(range(8)), parallel=True) == list(range(8))
 
 
 class TestToJsonable:
@@ -126,9 +139,7 @@ class TestRunnerIntegration:
         """`--arrays` reaches the Fig. 6 harness as its array_sizes override."""
         captured = {}
 
-        def fake_run_experiments(
-            names=None, overrides=None, parallel=False, max_workers=None, workers=None
-        ):
+        def fake_run_experiments(names=None, overrides=None, backend=None, workers=None):
             captured.update(overrides or {})
             return {name: None for name in names}
 

@@ -63,7 +63,7 @@ class TestIncrementalMapSweep:
 
     def test_order_preserved_with_mixed_hits_and_misses(self, cache):
         map_sweep(CountingFn(), POINTS[3:7], cache=cache)
-        results = map_sweep(CountingFn(), POINTS, cache=cache, parallel=True, max_workers=3)
+        results = map_sweep(CountingFn(), POINTS, cache=cache)
         assert [(r.x, r.y) for r in results] == POINTS
 
     def test_undecodable_payload_is_a_miss_not_a_crash(self, cache):

@@ -110,16 +110,6 @@ class TestRunLayerFamilies:
             geometry.kernel_w,
         )
 
-    def test_parallel_matches_serial(self, small_result):
-        parallel = run_layer_families(
-            scenarios=("ideal", "typical_rram"),
-            trials=3,
-            batch=8,
-            parallel=True,
-            max_workers=2,
-        )
-        assert parallel.points == small_result.points
-
     def test_store_roundtrip_is_identical(self, small_result, tmp_path):
         store = ExperimentStore(tmp_path / "store")
         kwargs = dict(scenarios=("ideal", "typical_rram"), trials=3, batch=8)

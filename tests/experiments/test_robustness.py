@@ -77,18 +77,6 @@ class TestRunRobustness:
         assert geometry.kernel_h == geometry.kernel_w == 3
         assert geometry.name
 
-    def test_parallel_matches_serial(self, small_result):
-        parallel = run_robustness(
-            networks=("resnet20",),
-            scenarios=("ideal", "typical_rram", "faulty"),
-            trials=3,
-            batch=8,
-            parallel=True,
-            max_workers=2,
-        )
-        for serial_point, parallel_point in zip(small_result.points, parallel.points):
-            assert serial_point == parallel_point
-
     def test_missing_point_raises(self, small_result):
         with pytest.raises(KeyError):
             small_result.point("resnet20", "ideal", "unknown_mapping")

@@ -8,14 +8,16 @@ endpoint surface is testable in dependency-free environments.
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import pytest
 
 import repro.server.queue as queue_module
+from repro.backend import active_backend, using_backend
 from repro.engine.cache import default_decomposition_cache
 from repro.server import JobState, RateLimiter, ServerConfig, ServerCore
-from repro.server.schemas import parse_sweep_spec
+from repro.server.schemas import parse_sweep_spec, spec_fingerprint
 from repro.store import ExperimentStore, LeaseBoard
 
 
@@ -188,6 +190,65 @@ class TestJobLifecycle:
             reborn.queue.close(wait=True)
 
 
+class TestJobBackends:
+    """Each job's backend scope stays in its own thread."""
+
+    @staticmethod
+    def post(core, payload):
+        return decode(core.handle("POST", "/sweeps", json.dumps(payload).encode()))
+
+    def test_running_job_backend_does_not_leak_into_request_parsing(
+        self, core, config, monkeypatch
+    ):
+        """A spec with no backend parses under the default while a numpy32
+        job holds its scope, so it gets the job id it gets when idle."""
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        started, release = threading.Event(), threading.Event()
+
+        def hold_scope(spec, store):
+            with using_backend(spec.backend):
+                started.set()
+                release.wait(timeout=60)
+            return "{}\n"
+
+        monkeypatch.setattr(queue_module, "execute_sweep", hold_scope)
+        payload = {"experiments": ["fig8"], "workers": 1}
+        idle_id = spec_fingerprint(parse_sweep_spec(payload, config))
+        try:
+            self.post(core, {"experiments": ["table1"], "backend": "numpy32", "workers": 1})
+            assert started.wait(timeout=60)
+            document = self.post(core, payload)
+        finally:
+            release.set()
+        assert document["job"] == idle_id
+        assert core.queue.get(idle_id).spec.backend == "numpy64"
+
+    def test_jobs_on_different_backends_overlap(self, store, monkeypatch):
+        """Two jobs naming different backends run at the same time, each
+        under its own backend."""
+        barrier = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def meet_inside_scope(spec, store):
+            with using_backend(spec.backend):
+                barrier.wait()  # both jobs are inside their scopes
+                seen[spec.backend] = active_backend().name
+            return "{}\n"
+
+        monkeypatch.setattr(queue_module, "execute_sweep", meet_inside_scope)
+        core = ServerCore(store, ServerConfig(job_workers=1, rate_limit=0, max_concurrent_jobs=2))
+        try:
+            ids = [
+                self.post(core, {"experiments": ["table1"], "backend": name, "workers": 1})["job"]
+                for name in ("numpy64", "numpy32")
+            ]
+            jobs = [wait_done(core, job_id) for job_id in ids]
+        finally:
+            core.queue.close(wait=True)
+        assert [job.state for job in jobs] == [JobState.DONE, JobState.DONE], [j.error for j in jobs]
+        assert seen == {"numpy64": "numpy64", "numpy32": "numpy32"}
+
+
 class TestJobNamespace:
     @pytest.mark.parametrize(
         "payload",
@@ -195,8 +256,9 @@ class TestJobNamespace:
             {"workers": 2},
             {"workers": 2, "arrays": [32], "trials": 2},
             {"workers": 2, "experiments": ["fig6", "robustness"], "arrays": [64], "trials": 3},
+            {"workers": 2, "backend": "numpy32"},
         ],
-        ids=["full-suite", "arrays", "subset"],
+        ids=["full-suite", "arrays", "subset", "numpy32-full-suite"],
     )
     def test_job_namespace_is_the_namespace_the_run_leases_under(
         self, payload, store, monkeypatch

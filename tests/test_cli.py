@@ -2,7 +2,7 @@
 
 The fast subcommands are exercised directly; the heavyweight ``report``
 command is run end to end through ``main()`` with a restricted Fig. 6 sweep
-and a small robustness trial count so its ``--arrays``/``--jobs``/``--json``
+and a small robustness trial count so its ``--arrays``/``--trials``/``--json``
 plumbing stays covered without dominating the suite's runtime.
 """
 
@@ -31,7 +31,7 @@ class TestParser:
     def test_robustness_defaults(self):
         args = build_parser().parse_args(["robustness"])
         assert args.scenarios is None
-        assert args.trials == 8 and args.jobs == 1 and args.array == 64
+        assert args.trials == 8 and args.array == 64
 
     def test_robustness_invalid_scenario_rejected(self):
         with pytest.raises(SystemExit):
@@ -57,9 +57,9 @@ class TestParser:
             (["robustness", "--trials", "0"], "--trials"),
             (["layer_families", "--trials", "-1"], "--trials"),
             (["report", "--arrays", "64", "0"], "--arrays"),
-            (["report", "--jobs", "0"], "--jobs"),
-            (["robustness", "--jobs", "-5"], "--jobs"),
-            (["layer_families", "--jobs", "0"], "--jobs"),
+            (["report", "--workers", "0"], "--workers"),
+            (["robustness", "--workers", "-5"], "--workers"),
+            (["layer_families", "--workers", "0"], "--workers"),
             (["serve", "--port", "70000"], "--port"),
         ],
     )
@@ -117,7 +117,6 @@ class TestExecution:
                 "--trials", "2",
                 "--networks", "resnet20",
                 "--scenarios", "ideal", "faulty",
-                "--jobs", "2",
                 "--json", str(target),
             ]
         )
@@ -160,13 +159,12 @@ class TestExecution:
         assert len(document["points"]) == 2 * 2  # families × scenarios
 
     def test_report_end_to_end_with_arrays_jobs_json(self, tmp_path, capsys):
-        """`report --arrays/--jobs/--json` through main(), restricted to stay fast."""
+        """`report --arrays/--trials/--json` through main(), restricted to stay fast."""
         target = tmp_path / "report.json"
         exit_code = main(
             [
                 "report",
                 "--arrays", "32",
-                "--jobs", "2",
                 "--trials", "2",
                 "--json", str(target),
             ]

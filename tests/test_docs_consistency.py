@@ -89,3 +89,23 @@ class TestCheckDocs:
         monkeypatch.setattr(module, "REPO_ROOT", tmp_path)
         assert module.main() == 1
         assert "ENGINE.md:2: repro.no_such_module does not resolve" in capsys.readouterr().err
+
+    def test_stale_cli_flag_detected(self, tmp_path, monkeypatch, capsys):
+        """A documented invocation passing an option the CLI lacks fails the gate."""
+        module = _load_module()
+        names = " ".join(
+            sorted(module.experiment_registry())
+            + list(module.backend_names())
+            + list(module.registered_networks())
+        )
+        (tmp_path / "README.md").write_text(names)
+        (tmp_path / "ENGINE.md").write_text(f"{names}\n    python -m repro report --jobs 4\n")
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "workloads.md").write_text(
+            f"{names}\nrun `repro --workers 2 report --json out.json`\n"
+        )
+        monkeypatch.setattr(module, "REPO_ROOT", tmp_path)
+        assert module.main() == 1
+        errors = capsys.readouterr().err
+        assert "ENGINE.md:2: repro has no option --jobs" in errors
+        assert "workloads.md:2" not in errors  # real options pass

@@ -13,7 +13,11 @@ the documents that promise to list it:
 * every ``registered_networks()`` name must appear in docs/workloads.md;
 * every dotted ``repro.…`` reference in README.md, ENGINE.md, docs/*.md and
   the package sources must name an importable module or an attribute of one,
-  so deleting or renaming code cannot leave a stale path behind.
+  so deleting or renaming code cannot leave a stale path behind;
+* every ``--flag`` on a line that runs the CLI (``python -m repro …`` or
+  ``repro …``) in those files and the verify skill must be an option of
+  ``repro.cli.build_parser()`` or one of its subcommands, so removing a flag
+  cannot leave a documented command that fails.
 
 Run from the repository root (CI does, via the docs-consistency job)::
 
@@ -22,16 +26,18 @@ Run from the repository root (CI does, via the docs-consistency job)::
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import re
 import sys
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.backend import backend_names  # noqa: E402
+from repro.cli import build_parser  # noqa: E402
 from repro.engine.sweep import experiment_registry  # noqa: E402
 from repro.workloads import registered_networks  # noqa: E402
 import repro.experiments  # noqa: E402,F401  (populates the experiment registry)
@@ -84,6 +90,35 @@ def referencing_documents() -> List[Path]:
     return [document for document in documents if document.exists()]
 
 
+#: The arguments of one CLI invocation on a line, up to the end of its command.
+INVOCATION = re.compile(r"(?<![\w.-])repro\s+(?P<args>[^`#|;&)\"']*)")
+#: A long option, e.g. ``--workers``.
+FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+
+
+def cli_flags() -> Set[str]:
+    """Every long option of ``repro.cli.build_parser()`` and its subcommands."""
+    flags: Set[str] = set()
+    parsers = [build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            flags.update(option for option in action.option_strings if option.startswith("--"))
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return flags
+
+
+def unknown_cli_flags(document: Path, flags: Set[str]) -> List[Tuple[int, str]]:
+    """(line number, flag) of every option a ``repro`` invocation passes that the CLI lacks."""
+    return [
+        (number, flag)
+        for number, line in enumerate(document.read_text(encoding="utf-8").splitlines(), start=1)
+        for invocation in INVOCATION.finditer(line)
+        for flag in FLAG.findall(invocation.group("args"))
+        if flag not in flags
+    ]
+
+
 def main() -> int:
     experiments = tuple(sorted(experiment_registry()))
     backends = tuple(backend_names())
@@ -113,13 +148,21 @@ def main() -> int:
         for number, reference in stale_references(document):
             failures.append(f"{relative}:{number}: {reference} does not resolve")
 
+    flags = cli_flags()
+    skill = REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+    for document in documents + ([skill] if skill.exists() else []):
+        relative = document.relative_to(REPO_ROOT)
+        for number, flag in unknown_cli_flags(document, flags):
+            failures.append(f"{relative}:{number}: repro has no option {flag}")
+
     if failures:
         print("docs-consistency check FAILED:", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         print(
-            "Document every registered name (or unregister it) and point every "
-            "repro.… reference at code that exists; see docs/workloads.md and ENGINE.md.",
+            "Document every registered name (or unregister it), point every "
+            "repro.… reference at code that exists and pass repro only options it "
+            "accepts; see docs/workloads.md and ENGINE.md.",
             file=sys.stderr,
         )
         return 1
@@ -128,7 +171,8 @@ def main() -> int:
         "docs-consistency OK: "
         f"{len(experiments)} experiments, {len(backends)} backends, "
         f"{len(networks)} networks all documented; "
-        f"repro.… references in {len(documents)} files resolve"
+        f"repro.… references in {len(documents)} files resolve; "
+        "documented repro invocations use only real options"
     )
     return 0
 
