@@ -2,8 +2,8 @@
 
 The benchmarks regenerate every table and figure of the paper's evaluation
 section; because a full sweep involves thousands of cycle-model evaluations
-and the WRN16-4 accuracy-proxy calibration (a few seconds of SVDs), the
-expensive workload objects are session-scoped and each harness is executed
+and the accuracy-proxy calibrations, the expensive workload objects are
+session-scoped and each harness is executed
 once per benchmark (``pedantic`` with a single round) — the timing numbers
 then reflect the cost of regenerating that artefact end to end.
 """

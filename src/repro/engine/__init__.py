@@ -17,8 +17,6 @@ root):
 
 from .cache import (
     DecompositionCache,
-    cached_decompose,
-    cached_group_decompose,
     default_decomposition_cache,
     matrix_fingerprint,
 )
@@ -47,8 +45,6 @@ from .sweep import (
 
 __all__ = [
     "DecompositionCache",
-    "cached_decompose",
-    "cached_group_decompose",
     "default_decomposition_cache",
     "matrix_fingerprint",
     "ExecutionContext",

@@ -1,7 +1,7 @@
 """Memoized SVD / low-rank decompositions shared across sweeps.
 
-Every experiment sweep re-decomposes the same per-layer weight matrices for
-many (array size, noise level, rank, group) combinations, and the truncated
+Execution plans re-decompose the same per-layer weight matrices for many
+(array size, noise level, rank, group) combinations, and the truncated
 SVD underlying :func:`repro.lowrank.decompose.decompose` is by far the most
 expensive step.  Two observations make memoization safe and very effective:
 
@@ -12,10 +12,9 @@ expensive step.  Two observations make memoization safe and very effective:
 * column-block SVDs only depend on (matrix content, group count), so group
   sweeps share the block factorizations too.
 
-The cache is keyed by a content hash of the matrix bytes plus the requested
-``(rank, groups)``, so logically identical matrices hit regardless of object
-identity.  A module-level default cache is shared by the execution contexts,
-the accuracy proxy and anything else that decomposes weights repeatedly.
+The cache is keyed by a content hash of the matrix bytes, so logically
+identical matrices hit regardless of object identity.  A module-level default
+cache is shared by the execution contexts that program low-rank factors.
 
 The in-memory cache is **LRU-bounded** (``maxsize`` entries; the thin SVD of
 a large layer is three dense matrices, so unbounded growth across a long
@@ -45,8 +44,6 @@ __all__ = [
     "matrix_fingerprint",
     "DecompositionCache",
     "default_decomposition_cache",
-    "cached_decompose",
-    "cached_group_decompose",
 ]
 
 #: In-memory LRU bound of the process-wide default cache.  The default sweeps
@@ -213,19 +210,5 @@ class DecompositionCache:
         return len(self._svds)
 
 
-#: Process-wide cache shared by execution contexts and the accuracy proxy.
+#: Process-wide cache shared by every execution context without a private one.
 default_decomposition_cache = DecompositionCache()
-
-
-def cached_decompose(
-    matrix: np.ndarray, rank: int, backend: Union[str, Backend, None] = None
-) -> LowRankFactors:
-    """Module-level convenience wrapper over the shared cache."""
-    return default_decomposition_cache.decompose(matrix, rank, backend=backend)
-
-
-def cached_group_decompose(
-    matrix: np.ndarray, rank: int, groups: int, backend: Union[str, Backend, None] = None
-) -> GroupLowRankFactors:
-    """Module-level convenience wrapper over the shared cache."""
-    return default_decomposition_cache.group_decompose(matrix, rank, groups, backend=backend)

@@ -102,8 +102,9 @@ def get_workload(network: str, input_size: int = 32) -> NetworkWorkload:
     """Process-wide workload cache shared by every experiment harness.
 
     Table I and Figs. 6–9 all evaluate the same two networks; sharing the
-    workload (geometry split + calibrated accuracy proxy) means the proxy
-    calibration SVDs run once per network instead of once per harness.
+    workload (geometry split + calibrated accuracy proxy) means each proxy
+    builds its reference matrices and calibration curve once per network
+    instead of once per harness.
     """
     return NetworkWorkload(network, input_size)
 

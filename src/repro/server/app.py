@@ -16,6 +16,7 @@ e2e suite run in dependency-free environments.
 from __future__ import annotations
 
 import json
+import shutil
 import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -182,9 +183,21 @@ def serve(
     config: Optional[ServerConfig] = None,
     store: Optional[ExperimentStore] = None,
 ) -> None:
-    """Run the service in the foreground: uvicorn when available, else stdlib."""
+    """Run the service in the foreground: uvicorn when available, else stdlib.
+
+    The ephemeral store ``create_core`` makes when neither ``store`` nor a
+    configured store root is given is removed when the service returns.
+    """
     config = config or ServerConfig.from_env()
     core = create_core(config, store)
+    try:
+        _serve_core(core, config)
+    finally:
+        if store is None and config.store_root is None:
+            shutil.rmtree(core.store.root, ignore_errors=True)
+
+
+def _serve_core(core: ServerCore, config: ServerConfig) -> None:
     try:
         import uvicorn
 

@@ -11,8 +11,10 @@ How the proxy works
 1. For a (group, rank) configuration it computes the *actual* mean relative
    group low-rank reconstruction error over the network's compressible layers,
    using deterministic reference weight matrices with the correct per-layer
-   shapes.  Theorem 1 guarantees this error shrinks as the group count grows,
-   so the proxy responds to the compression configuration through the same
+   shapes.  By Eckart–Young the error is read off each column block's
+   spectrum (its Gram matrix's eigenvalues), so no factors are built.
+   Theorem 1 guarantees this error shrinks as the group count grows, so the
+   proxy responds to the compression configuration through the same
    mechanism the real networks do.
 2. The error is mapped to an accuracy through a monotone interpolation whose
    anchor points are the accuracies the paper reports (Table I) for the same
@@ -33,9 +35,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..backend import active_precision
-from ..engine.cache import cached_group_decompose
-from ..lowrank.group import group_relative_error
+from ..backend import active_backend, active_precision
 from ..mapping.geometry import ConvGeometry
 from ..workloads import compressible_geometries
 
@@ -94,13 +94,30 @@ def _reference_matrix(geometry: ConvGeometry, seed: int) -> np.ndarray:
 
 
 #: Module-level caches shared by every proxy instance so repeated sweeps
-#: (benchmarks create many workload objects) do not redo the SVD work.  Keys
-#: carry the active execution precision (:func:`repro.backend.active_precision`)
-#: because the reconstruction errors flow through backend SVDs — a process
-#: that switches between numpy64 and numpy32 must never serve one precision's
-#: errors (or the calibration curve built from them) to the other.
+#: (benchmarks create many workload objects) do not redo the spectral work.
+#: Keys carry the active execution precision
+#: (:func:`repro.backend.active_precision`) because the spectra are computed at
+#: the backend's compute dtype — a process that switches between numpy64 and
+#: numpy32 must never serve one precision's errors (or the calibration curve
+#: built from them) to the other.
 _ERROR_CACHE: Dict[Tuple[str, str, int, int, int], float] = {}
 _CALIBRATION_CACHE: Dict[Tuple[str, str, int], Tuple[np.ndarray, np.ndarray]] = {}
+#: Each column block's Gram eigenvalues (ascending, clipped at 0) and
+#: ``||W||_F²``, keyed by (precision, seed, m, n, groups).  The key holds no
+#: matrix content: it relies on ``_reference_matrix`` seeding by exactly
+#: (seed, m, n), so equal layer shapes share an entry, across networks too.
+_SPECTRA_CACHE: Dict[Tuple[str, int, int, int, int], Tuple[Tuple[np.ndarray, ...], float]] = {}
+
+
+def _block_spectra(matrix: np.ndarray, seed: int, groups: int) -> Tuple[Tuple[np.ndarray, ...], float]:
+    key = (active_precision(), seed, *matrix.shape, groups)
+    if key not in _SPECTRA_CACHE:
+        matrix = active_backend().asarray(matrix)
+        blocks = np.split(matrix, groups, axis=1)
+        grams = (b @ b.T if b.shape[0] <= b.shape[1] else b.T @ b for b in blocks)
+        spectra = tuple(np.clip(np.linalg.eigvalsh(gram), 0.0, None) for gram in grams)
+        _SPECTRA_CACHE[key] = (spectra, float(np.sum(np.square(matrix))))
+    return _SPECTRA_CACHE[key]
 
 
 @dataclass
@@ -141,12 +158,12 @@ class AccuracyProxy:
             return _ERROR_CACHE[key]
         errors: List[float] = []
         for geometry, matrix in zip(self._geometries, self._matrices):
+            spectra, total = _block_spectra(matrix, self.seed, self._effective_groups(geometry, groups))
             rank = max(1, geometry.m // rank_divisor)
-            effective_groups = self._effective_groups(geometry, groups)
-            # Memoized through the engine cache: every rank divisor of a
-            # (layer, group count) pair shares one set of block SVDs.
-            factors = cached_group_decompose(matrix, rank, effective_groups)
-            errors.append(group_relative_error(matrix, factors))
+            # Eckart–Young: a block's rank-k truncation discards exactly its
+            # r - k smallest Gram eigenvalues (squared singular values).
+            discarded = sum(float(np.sum(s[: s.size - min(rank, s.size)])) for s in spectra)
+            errors.append(float(np.sqrt(discarded / total)) if total else 0.0)
         value = float(np.mean(errors))
         _ERROR_CACHE[key] = value
         return value

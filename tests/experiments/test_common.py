@@ -1,8 +1,8 @@
 """Tests for the shared experiment helpers (cycle / energy totals, workloads).
 
-Only the ResNet-20 workload is used here: the WRN16-4 accuracy-proxy
-calibration is comparatively expensive and is exercised by the benchmark
-harness instead.
+Only the ResNet-20 workload is used here; the WRN16-4 accuracy-proxy
+calibration is covered by ``tests/training/test_proxy.py`` and the benchmark
+harness.
 """
 
 from __future__ import annotations

@@ -23,10 +23,11 @@ unchanged, which is what the CI backend-parity matrix asserts.
 
 Regenerate the snapshot after an *intentional* numeric change with::
 
-    PYTHONPATH=src python -m repro report --json tests/golden/report_golden.json
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src python -m repro report --json tests/golden/report_golden.json
 
 and review the diff — every changed number should be explainable by the
-change being shipped.
+change being shipped.  Pin BLAS to one thread as above: a multi-threaded BLAS
+changes the last bits of the robustness accuracies.
 """
 
 from __future__ import annotations
@@ -142,7 +143,8 @@ class TestGoldenReport:
     def test_snapshot_exists(self):
         assert GOLDEN_PATH.exists(), (
             "missing golden snapshot; regenerate with "
-            "`PYTHONPATH=src python -m repro report --json tests/golden/report_golden.json`"
+            "`OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 "
+            "PYTHONPATH=src python -m repro report --json tests/golden/report_golden.json`"
         )
 
     def test_every_reproduced_number_matches_snapshot(self, reproduced_document):

@@ -1,11 +1,17 @@
-"""Tests for the calibrated accuracy proxy (resnet20 only — the WRN16-4 proxy
-is exercised by the benchmark harness to keep unit tests fast)."""
+"""Tests for the calibrated accuracy proxy.
+
+Most tests use the ResNet-20 proxy; the Table I anchor test covers WRN16-4
+too, whose calibration from block spectra takes a fraction of a second.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.backend import using_backend
+from repro.engine.cache import default_decomposition_cache
+from repro.lowrank.group import group_decompose, group_relative_error
 from repro.training.proxy import BASELINE_ACCURACY, TABLE1_ACCURACY, AccuracyProxy
 from repro.training.seeds import EXPERIMENT_SEEDS, seed_everything, spawn_generator
 
@@ -41,11 +47,43 @@ class TestLowRankProxy:
             for divisor in (2, 8, 16):
                 assert proxy.lowrank_accuracy(divisor, groups) <= proxy.baseline_accuracy
 
-    def test_anchor_configurations_near_table1(self, proxy):
+    @pytest.mark.parametrize("network", ["resnet20", "wrn16_4"])
+    def test_anchor_configurations_near_table1(self, network):
         """Every Table I anchor must be reproduced within a couple of percent."""
-        for (groups, divisor), paper_value in TABLE1_ACCURACY["resnet20"].items():
+        proxy = AccuracyProxy(network=network)
+        for (groups, divisor), paper_value in TABLE1_ACCURACY[network].items():
             measured = proxy.lowrank_accuracy(divisor, groups)
             assert measured == pytest.approx(paper_value, abs=3.0)
+
+    def test_spectral_errors_match_factor_oracle(self, proxy):
+        """Eckart–Young: the spectral errors equal the truncated-SVD factors' errors."""
+        with using_backend("numpy64"):
+            for groups, divisor in TABLE1_ACCURACY["resnet20"]:
+                oracle = np.mean([
+                    group_relative_error(
+                        matrix,
+                        group_decompose(
+                            matrix,
+                            max(1, geometry.m // divisor),
+                            proxy._effective_groups(geometry, groups),
+                        ),
+                    )
+                    for geometry, matrix in zip(proxy._geometries, proxy._matrices)
+                ])
+                measured = proxy.mean_relative_error(divisor, groups)
+                assert measured == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_calibration_runs_no_svd(self, monkeypatch):
+        """The calibration computes no SVD and never touches the decomposition cache."""
+        fresh = AccuracyProxy(network="wrn16_4", seed=11)  # a new seed misses every memo
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the proxy calibration computed an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        before = default_decomposition_cache.counters()
+        fresh.lowrank_accuracy_from_error(0.5)  # builds the calibration curve
+        assert default_decomposition_cache.counters() == before
 
     def test_from_error_extremes(self, proxy):
         assert proxy.lowrank_accuracy_from_error(0.0) == pytest.approx(proxy.baseline_accuracy)
