@@ -188,7 +188,6 @@ def bench_store(repeats: int) -> Dict[str, object]:
     import shutil
     import tempfile
 
-    from repro.engine.cache import default_decomposition_cache
     from repro.experiments.runner import run_all, suite_to_json
     from repro.store import ExperimentStore
 
@@ -209,7 +208,6 @@ def bench_store(repeats: int) -> Dict[str, object]:
         warm_document = suite_to_json(run_all(store=warm_store, **suite_kwargs))
         byte_identical = json.dumps(warm_document) == json.dumps(cold_document)
     finally:
-        default_decomposition_cache.detach_store()
         shutil.rmtree(workdir, ignore_errors=True)
     return {
         "kernel": "experiment_store_warm_report",

@@ -15,7 +15,6 @@ import json
 
 import pytest
 
-from repro.engine.cache import default_decomposition_cache
 from repro.experiments.runner import SUITE_EXPERIMENTS, run_all, suite_to_json
 from repro.parallel import run_cells_parallel
 from repro.store import ExperimentStore
@@ -24,12 +23,6 @@ from .conftest import run_once
 
 SUITE_KWARGS = dict(include_fig6_arrays=(32,), robustness_trials=2)
 OVERRIDES = {"fig6": {"array_sizes": (32,)}, "robustness": {"trials": 2}}
-
-
-@pytest.fixture(autouse=True)
-def detach_store_after():
-    yield
-    default_decomposition_cache.detach_store()
 
 
 @pytest.mark.benchmark(group="parallel")

@@ -13,19 +13,12 @@ import json
 
 import pytest
 
-from repro.engine.cache import default_decomposition_cache
 from repro.experiments.runner import run_all, suite_to_json
 from repro.store import ExperimentStore
 
 from .conftest import run_once
 
 SUITE_KWARGS = dict(include_fig6_arrays=(32,), robustness_trials=2)
-
-
-@pytest.fixture(autouse=True)
-def detach_store_after():
-    yield
-    default_decomposition_cache.detach_store()
 
 
 @pytest.mark.benchmark(group="store")

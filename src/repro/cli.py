@@ -88,7 +88,6 @@ from .experiments.fig6 import format_fig6, run_fig6
 from .experiments.fig7 import format_fig7, run_fig7
 from .experiments.fig8 import format_fig8, run_fig8
 from .experiments.fig9 import format_fig9, run_fig9
-from .engine.cache import default_decomposition_cache
 from .engine.sweep import parse_shard, to_jsonable
 from .experiments.layer_families import (
     FAMILIES,
@@ -419,9 +418,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as error:
         parser.error(str(error))
     store = open_store(args.store or None)
-    if store is not None:
-        # Two-level decomposition caching: SVDs spill to / refill from the store.
-        default_decomposition_cache.attach_store(store)
 
     with using_backend(backend):
         text = _dispatch(args, parser, store)

@@ -16,14 +16,12 @@ The cache is keyed by a content hash of the matrix bytes, so logically
 identical matrices hit regardless of object identity.  A module-level default
 cache is shared by the execution contexts that program low-rank factors.
 
-The in-memory cache is **LRU-bounded** (``maxsize`` entries; the thin SVD of
+The cache is a **process-local LRU** (``maxsize`` entries; the thin SVD of
 a large layer is three dense matrices, so unbounded growth across a long
-scenario sweep would eventually dominate resident memory).  Attaching a
-persistent :class:`repro.store.ExperimentStore` (``attach_store``) makes the
-cache a two-level hierarchy: every computed SVD is written through to the
-store (kind ``svd``), an in-memory miss consults the store before falling
-back to LAPACK, and an eviction therefore never loses work — the factors
-remain recoverable, bit-identical, by any process sharing the store.
+scenario sweep would eventually dominate resident memory).  An evicted SVD is
+simply recomputed, bit-identically.  Nothing is persisted: a default report
+computes at most 10 SVDs, and each ``--workers`` or ``--shard`` process
+computes the ones its own cells need.
 """
 
 from __future__ import annotations
@@ -46,9 +44,9 @@ __all__ = [
     "default_decomposition_cache",
 ]
 
-#: In-memory LRU bound of the process-wide default cache.  The default sweeps
-#: decompose a few hundred distinct (sub-)matrices; the bound only bites on
-#: much larger scenario grids, where the persistent store absorbs the spill.
+#: LRU bound of the process-wide default cache.  The default sweeps decompose
+#: 10 distinct matrices; the bound only bites on much larger scenario grids,
+#: where an evicted SVD is recomputed on its next use.
 DEFAULT_SVD_CACHE_ENTRIES = 512
 
 
@@ -59,19 +57,11 @@ def matrix_fingerprint(matrix: np.ndarray) -> Tuple[Tuple[int, ...], str, str]:
     return (tuple(data.shape), str(data.dtype), digest)
 
 
-def _store_token(key: Tuple[Tuple[int, ...], str, str]) -> str:
-    """Flatten a matrix fingerprint into a store-safe filename token."""
-    shape, dtype, digest = key
-    return f"{digest}_{'x'.join(str(dim) for dim in shape)}_{dtype}"
-
-
 class DecompositionCache:
     """Memoizes thin SVDs and the (group) low-rank factorizations built on them.
 
-    ``maxsize`` bounds the in-memory entry count with LRU eviction
-    (``None`` = unbounded).  ``attach_store`` adds a persistent second level:
-    computed SVDs are written through, and in-memory misses consult the store
-    before recomputing.
+    ``maxsize`` bounds the entry count with LRU eviction (``None`` =
+    unbounded).
     """
 
     def __init__(self, maxsize: Optional[int] = DEFAULT_SVD_CACHE_ENTRIES) -> None:
@@ -83,41 +73,15 @@ class DecompositionCache:
         )
         # The module-level default cache is shared by concurrent server jobs
         # (one thread each); the LRU bookkeeping (move_to_end / popitem) must
-        # not race.  SVD computation and store I/O happen outside the lock.
+        # not race.  SVD computation happens outside the lock.
         self._lock = threading.Lock()
-        self._store = None
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.store_hits = 0
-
-    def attach_store(self, store) -> None:
-        """Spill to / refill from a persistent ``repro.store.ExperimentStore``.
-
-        In a process-parallel sweep (:mod:`repro.parallel`) every worker
-        attaches the shared store to its process-local cache: the first
-        worker to need an SVD computes and spills it, the siblings refill
-        bit-identically instead of recomputing — the store turns N per-process
-        caches into one shared second level.
-        """
-        self._store = store
-
-    def detach_store(self) -> None:
-        self._store = None
-
-    @property
-    def store_attached(self) -> bool:
-        """Whether a persistent second level is currently attached."""
-        return self._store is not None
 
     def counters(self) -> "dict[str, int]":
-        """Hit/miss/eviction/refill counters (worker summaries report these)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "store_hits": self.store_hits,
-        }
+        """Hit/miss/eviction counters."""
+        return {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
 
     def svd(
         self, matrix: np.ndarray, backend: Union[str, Backend, None] = None
@@ -127,10 +91,9 @@ class DecompositionCache:
         The factorization runs through the execution backend
         (:mod:`repro.backend`; ``None`` resolves to the active default): the
         matrix is first cast to the backend's compute dtype, so the content
-        key — and therefore the in-memory entry *and* the persistent
-        ``svd`` store token — carries the precision, and float32 factors can
-        never be served where float64 ones are expected.  Bit-identical
-        backends (``numpy64``, ``threaded``) share one entry.
+        key carries the precision, and float32 factors can never be served
+        where float64 ones are expected.  Bit-identical backends
+        (``numpy64``, ``threaded``) share one entry.
         """
         backend = resolve_backend(backend)
         matrix = backend.asarray(matrix)
@@ -141,30 +104,16 @@ class DecompositionCache:
                 self.hits += 1
                 self._svds.move_to_end(key)
                 return cached
-        if self._store is not None:
-            arrays = self._store.get_arrays("svd", _store_token(key))
-            if arrays is not None and {"u", "s", "vt"} <= set(arrays):
-                factors = (arrays["u"], arrays["s"], arrays["vt"])
-                with self._lock:
-                    self.store_hits += 1
-                    self._insert(key, factors)
-                return factors
         u, s, vt = backend.svd(matrix)
-        if self._store is not None:
-            self._store.put_arrays("svd", _store_token(key), {"u": u, "s": s, "vt": vt})
         with self._lock:
             self.misses += 1
-            self._insert(key, (u, s, vt))
+            self._svds[key] = (u, s, vt)
+            self._svds.move_to_end(key)
+            if self.maxsize is not None:
+                while len(self._svds) > self.maxsize:
+                    self._svds.popitem(last=False)
+                    self.evictions += 1
         return u, s, vt
-
-    def _insert(self, key: object, factors: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-        # Caller holds self._lock.
-        self._svds[key] = factors
-        self._svds.move_to_end(key)
-        if self.maxsize is not None:
-            while len(self._svds) > self.maxsize:
-                self._svds.popitem(last=False)
-                self.evictions += 1
 
     def decompose(
         self, matrix: np.ndarray, rank: int, backend: Union[str, Backend, None] = None
@@ -204,7 +153,6 @@ class DecompositionCache:
             self.hits = 0
             self.misses = 0
             self.evictions = 0
-            self.store_hits = 0
 
     def __len__(self) -> int:
         return len(self._svds)

@@ -261,27 +261,6 @@ class ExecutionContext:
             self.backend = resolve_backend(self.backend)
 
     # ------------------------------------------------------------------
-    # Persistent decomposition spill
-    # ------------------------------------------------------------------
-    def attach_store(self, store) -> "ExecutionContext":
-        """Spill this context's SVDs through a persistent experiment store.
-
-        Forwards to :meth:`DecompositionCache.attach_store` on the context's
-        own cache (which may be the process-wide default or a private one).
-        Worker processes of a parallel sweep attach the shared store so a
-        decomposition computed by any worker is refilled — bit-identically —
-        by every other, instead of being recomputed per process.  Returns the
-        context for chaining.
-        """
-        self.decompositions.attach_store(store)
-        return self
-
-    def detach_store(self) -> "ExecutionContext":
-        """Stop spilling this context's SVDs to a persistent store."""
-        self.decompositions.detach_store()
-        return self
-
-    # ------------------------------------------------------------------
     # Tile construction
     # ------------------------------------------------------------------
     def tiled(self, matrix: np.ndarray, seed_offset: int = 0) -> TiledBackend:

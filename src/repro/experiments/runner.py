@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from ..engine.cache import default_decomposition_cache
 from ..engine.sweep import ShardStats, experiment_registry, run_experiments
 from ..store import ExperimentStore
 from .fig6 import headline_metrics
@@ -105,12 +104,7 @@ def _run_suite(
     workers: Optional[int],
 ) -> Dict[str, Any]:
     overrides = suite_overrides(SUITE_EXPERIMENTS, arrays, trials)
-    # Attach (or drop) the store's second-level SVD cache before any SVD runs,
-    # so a storeless call never leaks a previously attached store.
-    if store is None:
-        default_decomposition_cache.detach_store()
-    else:
-        default_decomposition_cache.attach_store(store)
+    if store is not None:
         for override in overrides.values():
             override["store"] = store
             if shard is not None:

@@ -22,10 +22,10 @@ execution path:
 Workers are ``spawn``-safe: a worker inherits nothing but a picklable
 :class:`WorkerSpec` (store root, experiment names, overrides, backend *name*,
 lease namespace), re-imports :mod:`repro.experiments` to repopulate the
-registry, resolves its backend from the inherited spec, and attaches the
-shared store to its process-local :class:`~repro.engine.cache.DecompositionCache`
-so SVDs computed by one worker are refilled — bit-identically — by the
-others instead of being recomputed per process.
+registry, and resolves its backend from the inherited spec.  The store
+shares cells, not SVDs: each worker's process-local
+:class:`~repro.engine.cache.DecompositionCache` computes the decompositions
+its own cells need.
 
 The worker count resolves like the backend: an explicit ``workers=`` argument
 beats the CLI's ``--workers`` (which passes explicitly), which beats
@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .backend import Backend, active_backend
-from .engine.cache import default_decomposition_cache
 from .engine.sweep import ShardStats, experiment_registry
 from .store import (
     DEFAULT_LEASE_TTL,
@@ -68,7 +67,6 @@ __all__ = [
     "plan_namespace",
     "run_cells_parallel",
     "run_experiments_parallel",
-    "format_worker_summary",
     "collect_workers_status",
     "format_workers_status",
 ]
@@ -183,13 +181,14 @@ class WorkerSpec:
 
 @dataclass
 class WorkerStats:
-    """What one worker process did (returned to the parent for the summary)."""
+    """What one worker process did (returned to the parent)."""
 
     worker_id: int
     shards: List[int] = field(default_factory=list)
     stolen: int = 0
     computed: int = 0
     resumed: int = 0
+    #: Always 0 (workers share no SVDs); kept because perfbench reads it.
     svd_store_hits: int = 0
     lost_races: int = 0
     abandoned: int = 0
@@ -217,16 +216,13 @@ def _worker_main(spec: WorkerSpec) -> WorkerStats:
     Top-level by necessity — the ``spawn`` start method pickles the function
     reference and the spec, nothing else.  The worker re-imports
     :mod:`repro.experiments` (self-registration repopulates the registry in
-    the fresh interpreter), resolves its backend from the spec, and spills
-    SVDs through the shared store so sibling workers refill instead of
-    recomputing.
+    the fresh interpreter) and resolves its backend from the spec.
     """
     import repro.experiments  # noqa: F401  (registry population, required under spawn)
 
     from .backend import using_backend
 
     store = ExperimentStore(spec.store_root, driver=spec.driver)
-    default_decomposition_cache.attach_store(store)
     board = LeaseBoard(
         store.root, spec.namespace, ttl=spec.lease_ttl, driver=store.driver
     )
@@ -246,65 +242,61 @@ def _worker_main(spec: WorkerSpec) -> WorkerStats:
             **board.counters(),
         )
 
-    try:
-        beat()
-        with using_backend(spec.backend):
-            while True:
-                claimed: Optional[int] = None
-                for shard in _scan_order(spec.nshards, spec.worker_id):
-                    if board.is_done(shard):
-                        continue
-                    vacancy_was_held = board.read(shard) is not None
-                    if board.claim(shard, owner):
-                        claimed = shard
-                        if vacancy_was_held:
-                            stats.stolen += 1
-                        break
-                if claimed is None:
-                    if board.all_done(spec.nshards):
-                        break
-                    beat()  # idle, but alive: keep the liveness record fresh
-                    time.sleep(_POLL_INTERVAL)
+    beat()
+    with using_backend(spec.backend):
+        while True:
+            claimed: Optional[int] = None
+            for shard in _scan_order(spec.nshards, spec.worker_id):
+                if board.is_done(shard):
                     continue
+                vacancy_was_held = board.read(shard) is not None
+                if board.claim(shard, owner):
+                    claimed = shard
+                    if vacancy_was_held:
+                        stats.stolen += 1
+                    break
+            if claimed is None:
+                if board.all_done(spec.nshards):
+                    break
+                beat()  # idle, but alive: keep the liveness record fresh
+                time.sleep(_POLL_INTERVAL)
+                continue
+            beat()
+            abandoned = False
+            for name in spec.names:
+                try:
+                    result = registry[name].run(
+                        store=store,
+                        shard=(claimed, spec.nshards),
+                        **spec.experiment_overrides(name),
+                    )
+                except Exception:
+                    # A raising cell fails the same way on every retry:
+                    # hand the shard back and let the parent report the
+                    # error now, instead of siblings stealing the shard
+                    # after the lease TTL only to fail again.
+                    board.release(claimed, owner)
+                    raise
+                if isinstance(result, ShardStats):
+                    stats.computed += result.computed
+                    stats.resumed += result.resumed
+                # A renewal between experiments keeps a long shard from
+                # expiring under its own worker.  A fenced refusal means
+                # the lease was stolen (this worker stalled past the
+                # TTL): ownership is gone for good, so the shard must be
+                # abandoned — the thief recomputes only the cells the
+                # store does not already hold, and writing our done
+                # marker for work the thief now owns would be a lie.
+                if not board.renew(claimed, owner):
+                    stats.abandoned += 1
+                    abandoned = True
+                    break
                 beat()
-                abandoned = False
-                for name in spec.names:
-                    try:
-                        result = registry[name].run(
-                            store=store,
-                            shard=(claimed, spec.nshards),
-                            **spec.experiment_overrides(name),
-                        )
-                    except Exception:
-                        # A raising cell fails the same way on every retry:
-                        # hand the shard back and let the parent report the
-                        # error now, instead of siblings stealing the shard
-                        # after the lease TTL only to fail again.
-                        board.release(claimed, owner)
-                        raise
-                    if isinstance(result, ShardStats):
-                        stats.computed += result.computed
-                        stats.resumed += result.resumed
-                    # A renewal between experiments keeps a long shard from
-                    # expiring under its own worker.  A fenced refusal means
-                    # the lease was stolen (this worker stalled past the
-                    # TTL): ownership is gone for good, so the shard must be
-                    # abandoned — the thief recomputes only the cells the
-                    # store does not already hold, and writing our done
-                    # marker for work the thief now owns would be a lie.
-                    if not board.renew(claimed, owner):
-                        stats.abandoned += 1
-                        abandoned = True
-                        break
-                    beat()
-                if not abandoned:
-                    board.mark_done(claimed, owner)
-                    stats.shards.append(claimed)
-                beat()
-    finally:
-        default_decomposition_cache.detach_store()
+            if not abandoned:
+                board.mark_done(claimed, owner)
+                stats.shards.append(claimed)
+            beat()
     stats.lost_races = board.lost_races
-    stats.svd_store_hits = default_decomposition_cache.store_hits
     return stats
 
 
@@ -521,12 +513,6 @@ def run_experiments_parallel(
         worker_overrides[name] = cleaned
 
     ephemeral_root: Optional[str] = None
-    # The assembly pass attaches the run's store to the process-wide
-    # decomposition cache; remember what the caller had attached so *every*
-    # exit path restores it.  (This restoration used to happen only for
-    # ephemeral stores, so a caller-supplied store permanently clobbered a
-    # previously attached spill target.)
-    previous_spill = default_decomposition_cache._store
     if store is None:
         ephemeral_root = tempfile.mkdtemp(prefix="repro-parallel-")
         store = ExperimentStore(ephemeral_root)
@@ -548,7 +534,6 @@ def run_experiments_parallel(
         assembly_overrides = {
             name: {**worker_overrides[name], "store": store} for name in names
         }
-        default_decomposition_cache.attach_store(store)
         return run_experiments(
             names=names,
             overrides=assembly_overrides,
@@ -556,39 +541,8 @@ def run_experiments_parallel(
             workers=1,
         )
     finally:
-        # Restore whatever spill target the caller had (or none) — for an
-        # ephemeral store because it is about to vanish, for a caller-
-        # supplied store because attaching it was this call's own plumbing,
-        # not a contract with the caller.
-        if previous_spill is not None:
-            default_decomposition_cache.attach_store(previous_spill)
-        else:
-            default_decomposition_cache.detach_store()
         if ephemeral_root is not None:
             shutil.rmtree(ephemeral_root, ignore_errors=True)
-
-
-def format_worker_summary(stats: Sequence[WorkerStats]) -> str:
-    """One line per worker of a parallel run's shard/cell accounting."""
-    lines = []
-    for stat in stats:
-        extra = ""
-        if stat.lost_races or stat.abandoned:
-            extra = f", lost races {stat.lost_races}, abandoned {stat.abandoned}"
-        lines.append(
-            f"worker {stat.worker_id}: shards {stat.shards or '-'} "
-            f"(stolen {stat.stolen}), computed {stat.computed}, "
-            f"resumed {stat.resumed}, svd refills {stat.svd_store_hits}{extra}"
-        )
-    totals = (
-        sum(len(s.shards) for s in stats),
-        sum(s.computed for s in stats),
-        sum(s.resumed for s in stats),
-    )
-    lines.append(
-        f"workers total: {totals[0]} shards, computed {totals[1]}, resumed {totals[2]}"
-    )
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

@@ -242,16 +242,11 @@ class ServerCore:
         so traversal attempts collapse to harmless token characters.
         """
         kind = "/".join(kind_parts)
-        suffix = ".npz" if fingerprint.endswith(".npz") else ".json"
-        token = fingerprint[: -len(suffix)] if fingerprint.endswith(suffix) else fingerprint
-        path = self.store.path_for(kind, token, suffix=suffix)
-        raw = self.store.driver.read_bytes(path)
+        token = fingerprint.removesuffix(".json")
+        raw = self.store.driver.read_bytes(self.store.path_for(kind, token))
         if raw is None:
             return _error(404, f"no artifact {kind}/{token}")
-        content_type = (
-            "application/octet-stream" if suffix == ".npz" else "application/json"
-        )
-        return Response(status=200, body=raw, content_type=content_type)
+        return Response(status=200, body=raw, content_type="application/json")
 
     # ------------------------------------------------------------------
     # Documents

@@ -4,12 +4,11 @@ Layout (all under one root directory, e.g. ``~/.cache/repro-store`` or the
 CLI's ``--store DIR``)::
 
     <root>/v1/<kind>/<fp[:2]>/<fp>.json     sweep-cell results (wrapped JSON)
-    <root>/v1/<kind>/<fp[:2]>/<fp>.npz      array artifacts (spilled SVDs)
 
 ``v1`` is the on-disk schema version (:data:`STORE_SCHEMA_VERSION`); a future
 layout change bumps it and :meth:`ExperimentStore.gc` collects the old trees.
-``kind`` names the artifact family (``table1/row``, ``fig6/panel``, ``svd``,
-…) and ``fp`` is the canonical fingerprint of the producing configuration
+``kind`` names the artifact family (``table1/row``, ``fig6/panel``, …) and
+``fp`` is the canonical fingerprint of the producing configuration
 (:mod:`repro.store.fingerprint`).
 
 Correctness properties the test battery pins:
@@ -22,11 +21,12 @@ Correctness properties the test battery pins:
   version, kind, fingerprint and a blake2b checksum; :meth:`get` verifies all
   four and treats any mismatch (truncation, bit-rot, schema drift) as a miss,
   dropping the corrupt file so the caller recomputes instead of being served
-  garbage.  NPZ artifacts are validated by their embedded schema marker and
-  numpy's own header/zip checks.
+  garbage.
 * **Invalidation** — fingerprints embed the code-version salt, so intentional
-  numeric changes simply stop matching old artifacts; ``gc`` removes
-  stale-salt, stale-schema, corrupt and leftover temporary files, and
+  numeric changes simply stop matching old artifacts.  ``ls`` flags as stale
+  exactly what ``gc`` removes: stale-salt, stale-schema and corrupt JSON, and
+  any file that is not a JSON artifact (such as the SVD factors older
+  versions spilled); ``gc`` also removes leftover temporary files, and
   ``clear`` removes everything.
 """
 
@@ -40,9 +40,7 @@ import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
 
 from .driver import StoreDriver, atomic_write_bytes, resolve_driver
 from .fingerprint import active_salt, valid_salts
@@ -108,6 +106,30 @@ def _payload_checksum(payload: Any) -> str:
     return hashlib.blake2b(data.encode("utf-8"), digest_size=16).hexdigest()
 
 
+def _read_artifact(
+    path: Path, salts: FrozenSet[str]
+) -> Tuple[Optional[Dict[str, Any]], bool]:
+    """One artifact file's wrapper (None when unreadable) and whether it is stale.
+
+    The one rule :meth:`ExperimentStore.ls` reports and
+    :meth:`ExperimentStore.gc` enforces: an artifact is fresh only when it is a
+    JSON wrapper of the current schema, under one of ``salts``, whose payload
+    matches its checksum.
+    """
+    if path.suffix != ".json":
+        return None, True
+    try:
+        wrapper = json.loads(path.read_text(encoding="utf-8"))
+        fresh = (
+            wrapper["schema"] == STORE_SCHEMA_VERSION
+            and wrapper["salt"] in salts
+            and wrapper["checksum"] == _payload_checksum(wrapper["payload"])
+        )
+    except (ValueError, KeyError, TypeError, OSError):
+        return None, True
+    return wrapper, not fresh
+
+
 class ExperimentStore:
     """Content-addressed artifact store shared by processes via the filesystem.
 
@@ -137,20 +159,20 @@ class ExperimentStore:
     def version_root(self) -> Path:
         return self.root / f"v{STORE_SCHEMA_VERSION}"
 
-    def path_for(self, kind: str, fingerprint: str, suffix: str = ".json") -> Path:
+    def path_for(self, kind: str, fingerprint: str) -> Path:
         kind_dir = "/".join(
             _KIND_SANITIZER.sub("_", part) for part in kind.split("/") if part
         )
         token = _TOKEN_SANITIZER.sub("_", fingerprint)
-        return self.version_root / kind_dir / token[:2] / f"{token}{suffix}"
+        return self.version_root / kind_dir / token[:2] / f"{token}.json"
 
-    def contains(self, kind: str, fingerprint: str, suffix: str = ".json") -> bool:
+    def contains(self, kind: str, fingerprint: str) -> bool:
         """Cheap existence probe (full validation happens on :meth:`get`)."""
-        return self.path_for(kind, fingerprint, suffix).exists()
+        return self.path_for(kind, fingerprint).exists()
 
-    def drop(self, kind: str, fingerprint: str, suffix: str = ".json") -> None:
+    def drop(self, kind: str, fingerprint: str) -> None:
         """Discard one artifact (e.g. a payload the caller could not decode)."""
-        self._drop_corrupt(self.path_for(kind, fingerprint, suffix))
+        self._drop_corrupt(self.path_for(kind, fingerprint))
 
     # ------------------------------------------------------------------
     # JSON artifacts
@@ -207,51 +229,6 @@ class ExperimentStore:
         return path
 
     # ------------------------------------------------------------------
-    # Array artifacts (numpy .npz)
-    # ------------------------------------------------------------------
-    def get_arrays(self, kind: str, fingerprint: str) -> Optional[Dict[str, np.ndarray]]:
-        """Stored arrays for a key, or None on miss/corruption."""
-        path = self.path_for(kind, fingerprint, suffix=".npz")
-        if not path.exists():
-            self.misses += 1
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                if int(archive["__schema__"]) != STORE_SCHEMA_VERSION:
-                    raise ValueError("schema mismatch")
-                arrays = {
-                    name: archive[name]
-                    for name in archive.files
-                    if not name.startswith("__")
-                }
-        except Exception:  # numpy raises various zipfile/value errors on corruption
-            self._drop_corrupt(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return arrays
-
-    def put_arrays(self, kind: str, fingerprint: str, arrays: Mapping[str, np.ndarray]) -> Path:
-        """Atomically persist named arrays under a fingerprint."""
-        path = self.path_for(kind, fingerprint, suffix=".npz")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self._tmp_path(path)
-        try:
-            with open(tmp, "wb") as handle:
-                np.savez(handle, __schema__=np.int64(STORE_SCHEMA_VERSION), **arrays)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
-        self.puts += 1
-        return path
-
-    # ------------------------------------------------------------------
     # Maintenance: ls / gc / clear
     # ------------------------------------------------------------------
     def ls(self) -> List[ArtifactInfo]:
@@ -260,25 +237,18 @@ class ExperimentStore:
         salts = valid_salts()
         for path in sorted(self._iter_artifacts()):
             stat = path.stat()
-            kind = str(path.parent.parent.relative_to(self.version_root))
-            artifact_salt: Optional[str] = None
-            stale = False
-            if path.suffix == ".json":
-                try:
-                    wrapper = json.loads(path.read_text(encoding="utf-8"))
-                    artifact_salt = wrapper.get("salt")
-                    kind = wrapper.get("kind", kind)
-                    stale = artifact_salt not in salts
-                except (ValueError, OSError):
-                    stale = True
+            wrapper, stale = _read_artifact(path, salts)
+            wrapper = wrapper or {}
             entries.append(
                 ArtifactInfo(
-                    kind=kind,
+                    kind=wrapper.get(
+                        "kind", str(path.parent.parent.relative_to(self.version_root))
+                    ),
                     fingerprint=path.stem,
                     path=path,
                     size_bytes=stat.st_size,
                     mtime=stat.st_mtime,
-                    salt=artifact_salt,
+                    salt=wrapper.get("salt"),
                     stale=stale,
                 )
             )
@@ -297,7 +267,7 @@ class ExperimentStore:
         ]
 
     def gc(self) -> GcStats:
-        """Remove stale-salt, stale-schema, corrupt and temporary files."""
+        """Remove every artifact :meth:`ls` flags stale, and temporary files."""
         stats = GcStats()
         # Old layout versions are invalid wholesale.
         for child in self._version_trees():
@@ -317,34 +287,12 @@ class ExperimentStore:
         for path in list(self.version_root.rglob("*")):
             if not path.is_file():
                 continue
-            if ".tmp-" in path.name:
+            if ".tmp-" in path.name or _read_artifact(path, salts)[1]:
                 stats.removed += 1
                 stats.freed_bytes += path.stat().st_size
                 self._drop_corrupt(path)
-                continue
-            keep = False
-            if path.suffix == ".json":
-                try:
-                    wrapper = json.loads(path.read_text(encoding="utf-8"))
-                    keep = (
-                        wrapper["schema"] == STORE_SCHEMA_VERSION
-                        and wrapper["salt"] in salts
-                        and wrapper["checksum"] == _payload_checksum(wrapper["payload"])
-                    )
-                except (ValueError, KeyError, TypeError, OSError):
-                    keep = False
-            elif path.suffix == ".npz":
-                try:
-                    with np.load(path, allow_pickle=False) as archive:
-                        keep = int(archive["__schema__"]) == STORE_SCHEMA_VERSION
-                except Exception:
-                    keep = False
-            if keep:
-                stats.kept += 1
             else:
-                stats.removed += 1
-                stats.freed_bytes += path.stat().st_size
-                self._drop_corrupt(path)
+                stats.kept += 1
         stats.heartbeats_pruned = self._prune_stale_heartbeats()
         return stats
 
@@ -413,10 +361,6 @@ class ExperimentStore:
         for path in self.version_root.rglob("*"):
             if path.is_file() and ".tmp-" not in path.name:
                 yield path
-
-    def _tmp_path(self, target: Path) -> Path:
-        token = os.urandom(4).hex()
-        return target.with_name(f"{target.name}.tmp-{os.getpid()}-{token}")
 
     def _atomic_write(self, path: Path, data: bytes) -> None:
         self.driver.write_atomic(path, data)

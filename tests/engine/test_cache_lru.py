@@ -1,11 +1,10 @@
-"""DecompositionCache LRU bound, eviction, and persistent spill regression tests.
+"""DecompositionCache LRU bound and eviction regression tests.
 
 The original cache grew without bound: every distinct (sub-)matrix pinned its
 full thin SVD (three dense arrays) for the life of the process, so a long
 scenario sweep slowly ate resident memory.  These tests pin the fix: a strict
-LRU bound, recency-ordered eviction, and — with a store attached — spill
-semantics that make eviction lossless (evicted factors reload bit-identically
-from disk instead of recomputing).
+LRU bound, recency-ordered eviction, and evictions that never change results
+(an evicted SVD is recomputed bit-identically).
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import active_backend
 from repro.engine.cache import DEFAULT_SVD_CACHE_ENTRIES, DecompositionCache
-from repro.store import ExperimentStore
 
 
 def matrices(count: int, rng: np.random.Generator):
@@ -68,8 +65,8 @@ class TestLruBound:
                 assert np.array_equal(left.right, right.right)
 
     def test_concurrent_hits_and_evictions_do_not_race(self, rng):
-        """map_sweep shares the default cache across a thread pool; the LRU
-        bookkeeping (move_to_end racing popitem) must never raise."""
+        """Concurrent server jobs share the default cache, one thread each; the
+        LRU bookkeeping (move_to_end racing popitem) must never raise."""
         from concurrent.futures import ThreadPoolExecutor
 
         cache = DecompositionCache(maxsize=2)
@@ -90,99 +87,17 @@ class TestLruBound:
             cache.svd(matrix)
         cache.clear()
         assert len(cache) == 0
-        assert cache.hits == cache.misses == cache.evictions == cache.store_hits == 0
-
-
-class TestStoreSpill:
-    def test_evicted_svd_reloads_from_store_bit_identically(self, tmp_path, rng):
-        store = ExperimentStore(tmp_path / "store")
-        cache = DecompositionCache(maxsize=1)
-        cache.attach_store(store)
-        first, second = matrices(2, rng)
-        u0, s0, vt0 = cache.svd(first)
-        cache.svd(second)                       # evicts first from memory
-        misses = cache.misses
-        u1, s1, vt1 = cache.svd(first)          # refills from the store
-        assert cache.misses == misses, "store refill must not recompute"
-        assert cache.store_hits == 1
-        assert np.array_equal(u0, u1) and np.array_equal(s0, s1) and np.array_equal(vt0, vt1)
-
-    def test_store_is_shared_across_cache_instances(self, tmp_path, rng):
-        store = ExperimentStore(tmp_path / "store")
-        matrix = rng.standard_normal((10, 7))
-        writer = DecompositionCache()
-        writer.attach_store(store)
-        expected = writer.svd(matrix)
-
-        reader = DecompositionCache()
-        reader.attach_store(store)
-        loaded = reader.svd(matrix)
-        assert reader.misses == 0 and reader.store_hits == 1
-        for left, right in zip(expected, loaded):
-            assert np.array_equal(left, right)
-
-    def test_corrupt_spill_falls_back_to_recompute(self, tmp_path, rng):
-        store = ExperimentStore(tmp_path / "store")
-        cache = DecompositionCache(maxsize=1)
-        cache.attach_store(store)
-        first, second = matrices(2, rng)
-        cache.svd(first)
-        for path in (tmp_path / "store").rglob("*.npz"):
-            data = path.read_bytes()
-            path.write_bytes(data[: len(data) // 2])
-        cache.svd(second)                       # evict first
-        u, s, vt = cache.svd(first)             # corrupt spill -> recompute
-        reference = np.linalg.svd(active_backend().asarray(first), full_matrices=False)
-        assert np.array_equal(u, reference[0])
-
-    def test_detach_store_stops_spilling(self, tmp_path, rng):
-        store = ExperimentStore(tmp_path / "store")
-        cache = DecompositionCache()
-        cache.attach_store(store)
-        cache.detach_store()
-        cache.svd(rng.standard_normal((4, 4)))
-        assert store.puts == 0
+        assert cache.hits == cache.misses == cache.evictions == 0
 
 
 class TestCacheIntrospection:
-    """Counters + attachment state the parallel worker summaries report."""
+    """The counters perfbench's traced runs read."""
 
-    def test_counters_mirror_the_attributes(self, tmp_path, rng):
-        store = ExperimentStore(tmp_path / "store")
+    def test_counters_mirror_the_attributes(self, rng):
         cache = DecompositionCache(maxsize=1)
-        cache.attach_store(store)
         first, second = matrices(2, rng)
         cache.svd(first)
         cache.svd(first)
         cache.svd(second)   # evicts first
-        cache.svd(first)    # refills from the store
-        assert cache.counters() == {
-            "hits": 1,
-            "misses": 2,
-            "evictions": 2,
-            "store_hits": 1,
-        }
-
-    def test_store_attached_property(self, tmp_path):
-        cache = DecompositionCache()
-        assert not cache.store_attached
-        cache.attach_store(ExperimentStore(tmp_path / "store"))
-        assert cache.store_attached
-        cache.detach_store()
-        assert not cache.store_attached
-
-    def test_execution_context_attach_store_spills_its_cache(self, tmp_path, rng):
-        from repro.engine.context import ExecutionContext
-        from repro.mapping.geometry import ArrayDims
-
-        store = ExperimentStore(tmp_path / "store")
-        context = ExecutionContext(
-            array=ArrayDims.square(32), decompositions=DecompositionCache()
-        )
-        assert context.attach_store(store) is context
-        context.lowrank_plan(rng.standard_normal((12, 9)), rank=3)
-        assert store.puts > 0, "the context's private cache must spill through the store"
-        puts = store.puts
-        assert context.detach_store() is context
-        context.lowrank_plan(rng.standard_normal((8, 8)), rank=2)
-        assert store.puts == puts
+        cache.svd(first)    # recomputes first, evicts second
+        assert cache.counters() == {"hits": 1, "misses": 3, "evictions": 2}

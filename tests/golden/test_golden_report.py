@@ -40,7 +40,6 @@ from typing import Any, List, Tuple
 import pytest
 
 from repro.backend import active_backend, using_backend
-from repro.engine.cache import default_decomposition_cache
 from repro.experiments.runner import run_all, suite_to_json
 from repro.store import ExperimentStore
 
@@ -120,9 +119,7 @@ def _compare(expected: Any, actual: Any, path: str, mismatches: List[str]) -> No
 @pytest.fixture(scope="module")
 def experiment_store(tmp_path_factory):
     """A cold persistent store the golden run fills (and a warm pass re-reads)."""
-    store = ExperimentStore(tmp_path_factory.mktemp("golden") / "store")
-    yield store
-    default_decomposition_cache.detach_store()
+    return ExperimentStore(tmp_path_factory.mktemp("golden") / "store")
 
 
 @pytest.fixture(scope="module")

@@ -15,16 +15,9 @@ import pytest
 
 import repro.server.queue as queue_module
 from repro.backend import active_backend, using_backend
-from repro.engine.cache import default_decomposition_cache
 from repro.server import JobState, RateLimiter, ServerConfig, ServerCore
 from repro.server.schemas import parse_sweep_spec, spec_fingerprint
 from repro.store import ExperimentStore, LeaseBoard
-
-
-@pytest.fixture(autouse=True)
-def detach_store_after():
-    yield
-    default_decomposition_cache.detach_store()
 
 
 @pytest.fixture

@@ -17,15 +17,8 @@ import urllib.request
 import pytest
 
 from repro.cli import main as cli_main
-from repro.engine.cache import default_decomposition_cache
 from repro.server import ServerConfig, ServerCore, start_stdlib_server
 from repro.store import ExperimentStore
-
-
-@pytest.fixture(autouse=True)
-def detach_store_after():
-    yield
-    default_decomposition_cache.detach_store()
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,9 @@
 """Concurrency and crash-safety: the store as a multi-process shared medium.
 
-Sharded sweeps intentionally run several processes against one store, and two
-shards can race on the same ``svd`` spill key (cell ownership is disjoint but
-decomposition content is not).  The contract under race is *last writer wins,
+Sharded sweeps, work-stealing workers and a server beside a CLI run several
+processes against one store, and two of them can write the same cell key: a
+thief and the stalled owner it stole a shard from, or a server job and a CLI
+run of the same grid.  The contract under race is *last writer wins,
 reader never sees a partial write*: after any interleaving of atomic renames
 there is exactly one artifact under the key, it validates, and its payload is
 one of the writers' payloads — never a torn mixture.

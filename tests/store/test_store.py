@@ -98,35 +98,36 @@ class TestCorruptionDetection:
         assert store.get("k", FP) is None
 
 
-class TestArrayArtifacts:
-    def test_round_trip_bit_identical(self, store, rng):
-        arrays = {"u": rng.standard_normal((16, 8)), "s": rng.standard_normal(8)}
-        store.put_arrays("svd", FP, arrays)
-        loaded = store.get_arrays("svd", FP)
-        assert set(loaded) == {"u", "s"}
-        assert np.array_equal(loaded["u"], arrays["u"])
-        assert np.array_equal(loaded["s"], arrays["s"])
-
-    def test_truncated_npz_is_a_miss_and_dropped(self, store, rng):
-        path = store.put_arrays("svd", FP, {"u": rng.standard_normal((64, 64))})
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        assert store.get_arrays("svd", FP) is None
-        assert not path.exists()
-
-    def test_absent_arrays_are_a_miss(self, store):
-        assert store.get_arrays("svd", FP) is None
-
-
 class TestMaintenance:
-    def test_ls_lists_every_artifact(self, store, rng):
+    def test_ls_lists_every_artifact(self, store):
         store.put("table1/row", FP, {"v": 1})
         store.put("fig6/panel", "cd" * 16, {"v": 2})
-        store.put_arrays("svd", "ef" * 16, {"u": rng.standard_normal(4)})
         entries = store.ls()
-        assert len(entries) == 3
-        assert {entry.kind for entry in entries} == {"table1/row", "fig6/panel", "svd"}
-        assert all(not entry.stale for entry in entries if entry.salt is not None)
+        assert len(entries) == 2
+        assert {entry.kind for entry in entries} == {"table1/row", "fig6/panel"}
+        assert all(not entry.stale for entry in entries)
+
+    def test_ls_flags_exactly_what_gc_removes(self, store, rng):
+        """``ls`` and ``gc`` judge an artifact by one rule.
+
+        Regression: ``ls`` listed a cell whose payload was edited as fresh,
+        which ``gc`` then removed, and listed an SVD spill written by older
+        versions as fresh, which ``gc`` kept.
+        """
+        store.put("table1/row", FP, {"v": 1})
+        edited = store.put("fig6/panel", "cd" * 16, {"v": 2})
+        wrapper = json.loads(edited.read_text())
+        wrapper["payload"] = {"v": 3}
+        edited.write_text(json.dumps(wrapper))
+        spill = store.version_root / "svd" / "ef" / f"{'ef' * 16}_8x6_float64.npz"
+        spill.parent.mkdir(parents=True)
+        np.savez(spill, __schema__=np.int64(STORE_SCHEMA_VERSION), u=rng.standard_normal((8, 6)))
+
+        assert {entry.path for entry in store.ls() if entry.stale} == {edited, spill}
+        stats = store.gc()
+        assert stats.removed == 2 and stats.kept == 1
+        assert not edited.exists() and not spill.exists()
+        assert store.get("table1/row", FP) == {"v": 1}
 
     def test_gc_keeps_valid_artifacts(self, store):
         store.put("k", FP, {"v": 1})

@@ -49,6 +49,9 @@ class TestColdVersusWarm:
         cold_json, cold_text, cold_time = run_report(tmp_path, store, "cold", capsys)
         inventory = store_inventory(store)
         assert inventory, "cold run must materialize artifacts"
+        # Only cells persist: the SVDs stay in the process that computed them.
+        assert all(name.startswith("v1/") and name.endswith(".json") for name in inventory)
+        assert not (store / "v1" / "svd").exists()
 
         warm_json, warm_text, warm_time = run_report(tmp_path, store, "warm", capsys)
         assert warm_json == cold_json

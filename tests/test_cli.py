@@ -204,27 +204,22 @@ class TestStoreCli:
         capsys.readouterr()
 
     def test_store_ls_gc_clear_round_trip(self, tmp_path, capsys):
-        from repro.engine.cache import default_decomposition_cache
-
         store_dir = str(tmp_path / "store")
-        try:
-            assert main(["--store", store_dir, "fig9"]) == 0
-            capsys.readouterr()
+        assert main(["--store", store_dir, "fig9"]) == 0
+        capsys.readouterr()
 
-            assert main(["--store", store_dir, "store", "ls"]) == 0
-            listing = capsys.readouterr().out
-            assert "fig9/panel" in listing and "artifacts" in listing
+        assert main(["--store", store_dir, "store", "ls"]) == 0
+        listing = capsys.readouterr().out
+        assert "fig9/panel" in listing and "artifacts" in listing
 
-            assert main(["--store", store_dir, "store", "gc"]) == 0
-            assert "removed 0" in capsys.readouterr().out
+        assert main(["--store", store_dir, "store", "gc"]) == 0
+        assert "removed 0" in capsys.readouterr().out
 
-            assert main(["--store", store_dir, "store", "clear"]) == 0
-            assert "cleared" in capsys.readouterr().out
+        assert main(["--store", store_dir, "store", "clear"]) == 0
+        assert "cleared" in capsys.readouterr().out
 
-            assert main(["--store", store_dir, "store", "ls"]) == 0
-            assert "0 artifacts" in capsys.readouterr().out
-        finally:
-            default_decomposition_cache.detach_store()
+        assert main(["--store", store_dir, "store", "ls"]) == 0
+        assert "0 artifacts" in capsys.readouterr().out
 
     def test_store_gc_reports_pruned_heartbeats(self, tmp_path, capsys):
         import json
@@ -255,36 +250,26 @@ class TestStoreCli:
         assert captured.out == ""
 
     def test_store_env_var_is_the_default(self, tmp_path, capsys, monkeypatch):
-        from repro.engine.cache import default_decomposition_cache
-
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env-store"))
-        try:
-            assert main(["fig9"]) == 0
-            capsys.readouterr()
-            assert (tmp_path / "env-store").exists()
-            assert main(["store", "ls"]) == 0
-            assert "fig9/panel" in capsys.readouterr().out
-        finally:
-            default_decomposition_cache.detach_store()
+        assert main(["fig9"]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "env-store").exists()
+        assert main(["store", "ls"]) == 0
+        assert "fig9/panel" in capsys.readouterr().out
 
     def test_single_figure_commands_reuse_the_store(self, tmp_path, capsys):
-        from repro.engine.cache import default_decomposition_cache
-
         store_dir = str(tmp_path / "store")
-        try:
-            assert main(["--store", store_dir, "fig9"]) == 0
-            first = capsys.readouterr().out
-            mtimes = {
-                p: p.stat().st_mtime_ns for p in (tmp_path / "store").rglob("*.json")
-            }
-            assert main(["--store", store_dir, "fig9"]) == 0
-            second = capsys.readouterr().out
-            assert second == first
-            assert {
-                p: p.stat().st_mtime_ns for p in (tmp_path / "store").rglob("*.json")
-            } == mtimes
-        finally:
-            default_decomposition_cache.detach_store()
+        assert main(["--store", store_dir, "fig9"]) == 0
+        first = capsys.readouterr().out
+        mtimes = {
+            p: p.stat().st_mtime_ns for p in (tmp_path / "store").rglob("*.json")
+        }
+        assert main(["--store", store_dir, "fig9"]) == 0
+        second = capsys.readouterr().out
+        assert second == first
+        assert {
+            p: p.stat().st_mtime_ns for p in (tmp_path / "store").rglob("*.json")
+        } == mtimes
 
 
 class TestBackendsCli:
