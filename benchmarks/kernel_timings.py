@@ -99,9 +99,10 @@ def bench_monte_carlo(repeats: int) -> Dict[str, object]:
     the layer through the per-tile oracle simulator path
     (:class:`repro.imc.tiles.TiledMatrix`) and executes the input batch.  A
     second comparison against a per-trial loop over the *batched* single-trial
-    kernel is reported as ``sequential_batched_seconds`` — the per-trial noise
-    sampling streams are serial by the bit-identity contract, so that loop
-    bounds the achievable speedup from batching alone.
+    kernel is reported as ``sequential_batched_seconds`` — both make the same
+    per-trial noise draws (one generator and one draw over the programmed
+    cells per trial, by the bit-identity contract), so that loop bounds the
+    achievable speedup from batching alone.
     """
     rng = np.random.default_rng(5)
     matrix = rng.standard_normal((128, 288))

@@ -231,6 +231,8 @@ class Backend:
         ``x`` the DAC-quantized, row-tile-sliced input stack,
         ``(1 | trials, row_tiles, batch, rows)`` — a leading extent of 1 is
         one batch shared by every trial.  Returns ``(trials, batch, out_dim)``.
+        Unprogrammed differential pairs are exactly 0, so the columns beyond
+        a tile's programmed width output 0 and never move its ADC max-abs.
 
         The base implementation is the reference: gather each tile's input
         segment, run one batched matmul over all (trial, tile, vector)
@@ -249,13 +251,6 @@ class Backend:
         outputs /= layout.span
         outputs *= layout.scales[:, None, None]
         if output_bits is not None:
-            # Columns beyond a tile's programmed width carry only noise on the
-            # unprogrammed differential pairs; the per-tile ADC never sees
-            # them, so zero them before quantization to keep the per-tile
-            # max-abs identical.  (Without ADC quantization the scatter below
-            # never reads them, so the mask is skipped.)
-            valid = np.arange(diff.shape[-1])[None, :] < layout.out_lens[:, None]
-            outputs = np.where(valid[:, None, :], outputs, 0.0)
             outputs = quantize(outputs, output_bits)
         # Scatter-add per-tile partial sums in allocation order (the same
         # accumulation order as the per-tile executor).

@@ -300,10 +300,10 @@ class ExecutionContext:
     ) -> Union[LayerPlan, MonteCarloPlan]:
         """Program each stage matrix once (``trials=None``) or ``trials`` times.
 
-        Stages are spaced by STAGE_SEED_STRIDE (not consecutive integers):
-        per-tile streams are seeded seed + allocation_index, so an offset of
-        1 would alias stage 2's tile 0 with stage 1's tile 1.  Both kinds of
-        plan share these offsets, so trial ``t`` of a Monte-Carlo plan is
+        Stages are spaced by STAGE_SEED_STRIDE, on a scale apart from the
+        trial stride, so no (stage, trial) programming of a plan shares its
+        seed — and with it its whole noise draw — with another.  Both kinds
+        of plan share these offsets, so trial ``t`` of a Monte-Carlo plan is
         bit-identical to the single-programming plan of ``trial_context(t)``.
         """
         offsets = [stage * STAGE_SEED_STRIDE for stage in range(len(matrices))]
@@ -477,7 +477,7 @@ class ExecutionContext:
 
         Trial ``t`` is bit-identical to
         ``trial_context(t).grouped_conv_plan(weight, geometry)`` — same tile
-        allocation, same per-tile seed offsets.
+        allocation, same noise draw.
         """
         method, matrix = self._grouped_matrix(weight, geometry)
         return self._plan(method, [matrix], matrix, geometry, trials, trial_stride)

@@ -11,17 +11,19 @@ interpreter-bound hot loops of the reproduction with numpy-native kernels:
   mapped matrix stacked into a single ``(R, T, rows, cols)`` conductance
   tensor, so every trial and tile of an MVM batch executes in one call of the
   backend's tile executor; cell quantization, programming noise and DAC/ADC
-  quantization are applied vectorized.  The noise stream of trial ``t``, tile
-  ``i`` is seeded ``seed + t · trial_stride + i``, making each trial's
-  programmed conductances bit-identical to a per-tile run seeded
-  ``seed + t · trial_stride``.
+  quantization are applied vectorized.  Trial ``t`` draws all of its noise
+  from one generator seeded ``seed + t · trial_stride``, in one
+  :meth:`NoiseModel.apply` call over the programmed cells of every tile,
+  making each trial's programmed conductances bit-identical to a per-tile
+  run seeded ``seed + t · trial_stride``.
 * :class:`BatchedTiledMatrix` — its ``trials == 1`` case with the trial axis
   removed from the surface: one programming, 2-D batches in and out.
 
 The kernels are drop-in equivalents of their per-element counterparts
 (:func:`im2col_columns_loop` and :class:`repro.imc.tiles.TiledMatrix`): same
-tile layout, same seeded noise streams, same quantization arithmetic.  The equivalence is enforced by
-``tests/engine/test_kernels.py`` and ``tests/engine/test_montecarlo.py``.
+tile layout, same seeded noise draws, same quantization arithmetic.  The
+equivalence is enforced by ``tests/engine/test_kernels.py`` and
+``tests/engine/test_montecarlo.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..backend import Backend, TileLayout, resolve_backend
-from ..imc.crossbar import weights_to_conductances
+from ..imc.crossbar import programmed_cells, weights_to_conductances
 from ..imc.noise import NoiseModel
 from ..imc.peripherals import PeripheralSuite, default_peripherals
 from ..imc.tiles import iter_tile_blocks
@@ -49,17 +51,19 @@ __all__ = [
 ]
 
 #: Seed spacing between the stages of a multi-stage plan (and between the
-#: bit-slices of :class:`repro.imc.bitslicing.BitSlicedMatrix`).  Per-tile
-#: noise generators are seeded ``seed + allocation_index``, so consecutive
-#: integer stage offsets would alias stage ``s+1``'s tile 0 with stage ``s``'s
-#: tile 1 and correlate their noise draws; spacing stages by more than any
-#: realistic tile count keeps every stream distinct.
+#: bit-slices of :class:`repro.imc.bitslicing.BitSlicedMatrix`).  Each
+#: (stage, trial) programming draws its whole noise field from one generator
+#: seeded ``seed + stage · STAGE_SEED_STRIDE + trial · trial_stride``:
+#: distinct seeds give unrelated fields, equal seeds identical ones.  Stage
+#: offsets stay far below :data:`TRIAL_SEED_STRIDE`, so no stage's seed lands
+#: on another stage's trial seed.  Any such spacing would do; changing this
+#: one would redraw the noise of every multi-stage plan.
 STAGE_SEED_STRIDE = 1 << 16
 
 #: Default seed spacing between Monte-Carlo trials.  It exceeds the per-plan
 #: seed span (stage offsets of :class:`repro.engine.context.ExecutionContext`
-#: times :data:`STAGE_SEED_STRIDE`, plus tile allocation indices), so trial
-#: streams never overlap within or across stages.
+#: times :data:`STAGE_SEED_STRIDE`), so every (stage, trial) programming of a
+#: plan draws from a distinct seed.
 TRIAL_SEED_STRIDE = 1 << 20
 
 
@@ -140,9 +144,13 @@ class MonteCarloTiledMatrix:
     and tile runs in one call of the backend's tile executor instead of a
     Python loop per (trial, tile, vector).
 
-    Equivalence contract (see ENGINE.md): the noise generator of trial ``t``,
-    tile ``i`` is seeded ``seed + t · trial_stride + i`` — exactly the stream
-    of the per-tile oracle built with seed ``seed + t · trial_stride``.
+    Equivalence contract (see ENGINE.md): trial ``t`` draws its noise from
+    one generator seeded ``seed + t · trial_stride``, in one
+    :meth:`NoiseModel.apply` call over the programmed cells of every
+    allocated tile (:func:`repro.imc.crossbar.programmed_cells` order) —
+    exactly the draw of the per-tile oracle built with seed
+    ``seed + t · trial_stride``.  Unprogrammed padding draws nothing, so its
+    differential pairs are exactly 0.
     Everything deterministic (programmed conductances, tile counts,
     activations, energy) is therefore bit-for-bit identical to the oracle.
     Analog outputs are identical only up to floating-point associativity:
@@ -176,40 +184,42 @@ class MonteCarloTiledMatrix:
         rows, cols = self.array.rows, self.array.logical_cols
         self._row_tiles = ceil_div(in_dim, rows)
         self._col_tiles = ceil_div(out_dim, cols)
-        # Program every allocated tile without noise, stacked in allocation
-        # order, exactly like CrossbarArray.program does it per tile.
+        # Program every allocated tile without noise, in allocation order,
+        # exactly like CrossbarArray.program does it per tile, and note where
+        # each tile's programmed cells sit in the flattened (T, rows, cols)
+        # stack.
         cell = self.peripherals.cell
         self._blocks = iter_tile_blocks(self.matrix, self.array, self.skip_zero_tiles)
         num = len(self._blocks)
-        g_pos = np.full((num, rows, cols), cell.g_min)
-        g_neg = np.full((num, rows, cols), cell.g_min)
         scales = np.ones(num)
         self._programmed = np.zeros((num, 2), dtype=np.intp)  # programmed (rows, cols) per tile
+        pairs, targets = [], []
         for t, tile in enumerate(self._blocks):
             physical = tile.block.T  # inputs on rows, outputs on columns
-            tile_pos, tile_neg, scales[t] = weights_to_conductances(physical, cell)
+            g_pos, g_neg, scales[t] = weights_to_conductances(physical, cell)
             r, c = physical.shape
-            g_pos[t, :r, :c] = tile_pos
-            g_neg[t, :r, :c] = tile_neg
+            pairs.append((g_pos, g_neg))
+            targets.append((t * rows + np.arange(r)[:, None]) * cols + np.arange(c))
             self._programmed[t] = (r, c)
         # Only the differential difference is kept: execution and read-back
-        # use nothing else.
-        diff = np.empty((self.trials, num, rows, cols))
-        if self.noise.is_ideal:
-            # Every trial programs identical conductances; replicate them so
-            # execution stays one batched matmul.
-            np.subtract(g_pos, g_neg, out=diff[0])
-            diff[1:] = diff[0]
-        else:
-            for trial in range(self.trials):
-                base = self.seed + trial * self.trial_stride
-                for t, tile in enumerate(self._blocks):
-                    # One generator per (trial, tile), consumed g_pos-then-g_neg
-                    # — the exact stream of the per-tile oracle.
-                    rng = np.random.default_rng(base + tile.index)
-                    noisy_pos = self.noise.apply(g_pos[t], cell.g_min, cell.g_max, rng)
-                    noisy_neg = self.noise.apply(g_neg[t], cell.g_min, cell.g_max, rng)
-                    diff[trial, t] = noisy_pos - noisy_neg
+        # use nothing else.  Unprogrammed pairs stay g_min - g_min = 0.
+        diff = np.zeros((self.trials, num * rows * cols))
+        if num:
+            # Trial-independent work happens once: the clean cells in draw
+            # order, their IR-drop attenuation and the scatter targets.
+            cells, attenuation = programmed_cells(pairs, rows, self.noise)
+            targets = np.concatenate([target.reshape(-1) for target in targets])
+            if self.noise.is_ideal:
+                # Every trial programs identical conductances; replicate them
+                # so execution stays one batched matmul.
+                diff[:, targets] = cells[0::2] - cells[1::2]
+            else:
+                for trial in range(self.trials):
+                    # One generator and one draw per trial: the oracle's.
+                    rng = np.random.default_rng(self.seed + trial * self.trial_stride)
+                    drawn = self.noise.apply(cells, cell.g_min, cell.g_max, rng, attenuation)
+                    diff[trial][targets] = drawn[0::2] - drawn[1::2]
+        diff = diff.reshape(self.trials, num, rows, cols)
         # Programming stays float64 (the precision policy governs *execution*
         # arithmetic only, so stored_matrix() keeps the bit-identity contract
         # under every backend); the execution operand is the same tensor at
@@ -350,7 +360,7 @@ class BatchedTiledMatrix(MonteCarloTiledMatrix):
     """One programming of a mapped matrix: :class:`MonteCarloTiledMatrix` with one trial.
 
     The batched drop-in for the per-tile :class:`repro.imc.tiles.TiledMatrix`
-    (same constructor keywords, tile ``i`` seeded ``seed + i``).  Only the
+    (same constructor keywords, same one noise draw seeded ``seed``).  Only the
     trial axis is removed: :meth:`mvm_batch` takes and returns 2-D batches and
     :meth:`stored_matrix` takes no trial index.
     """

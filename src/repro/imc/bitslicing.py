@@ -141,10 +141,8 @@ class BitSlicedMatrix:
                     array=self.array,
                     peripherals=self.peripherals,
                     noise=self.noise,
-                    # Slices are spaced like plan stages: per-tile streams are
-                    # seeded seed + allocation_index, so consecutive integer
-                    # offsets would correlate slice s+1's tile 0 with slice
-                    # s's tile 1.
+                    # Slices are spaced like plan stages, so no slice's seed
+                    # (and noise draw) lands on another slice's trial seed.
                     seed=self.seed + index * STAGE_SEED_STRIDE,
                 )
             )

@@ -18,14 +18,17 @@ evaluation; circuit-level parasitics enter only through the noise model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .noise import NoiseModel
+from .noise import NoiseModel, ir_drop_attenuation
 from .peripherals import CellSpec, PeripheralSuite, default_peripherals
 
-__all__ = ["CrossbarArray", "weights_to_conductances", "conductances_to_weights"]
+__all__ = ["CrossbarArray", "weights_to_conductances", "conductances_to_weights", "programmed_cells", "perturb_pairs"]
+
+#: Programmed differential pairs ``(g_pos, g_neg)``, one per tile.
+Pairs = Sequence[Tuple[np.ndarray, np.ndarray]]
 
 
 def weights_to_conductances(
@@ -59,6 +62,49 @@ def conductances_to_weights(
     """Invert :func:`weights_to_conductances` (up to quantization)."""
     span = cell.g_max - cell.g_min
     return (g_pos - g_neg) / span * scale
+
+
+def programmed_cells(
+    pairs: Pairs, rows: int, noise: NoiseModel
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The programmed cells of a stack of tiles in noise-draw order.
+
+    ``pairs`` holds every allocated tile's programmed ``(g_pos, g_neg)``
+    blocks in allocation order.  Cells are taken tile by tile, row-major
+    within a tile, each pair's positive cell right before its negative one;
+    unprogrammed padding is not part of the draw.  Also returns each cell's
+    IR-drop attenuation on its physical row of a ``rows``-row array (``None``
+    when ``noise`` has no IR drop), the ``attenuation`` argument of
+    :meth:`NoiseModel.apply`.
+    """
+    cells = np.concatenate([np.stack(pair, axis=-1).reshape(-1) for pair in pairs])
+    if noise.ir_drop_severity == 0.0:
+        return cells, None
+    row_factors = ir_drop_attenuation(rows, noise.ir_drop_severity)
+    attenuation = np.concatenate(
+        [np.repeat(row_factors[: g_pos.shape[0]], 2 * g_pos.shape[1]) for g_pos, _ in pairs]
+    )
+    return cells, attenuation
+
+
+def perturb_pairs(
+    pairs: Pairs, rows: int, noise: NoiseModel, cell: CellSpec, rng: np.random.Generator
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Noisy copies of programmed pairs, drawn in one :meth:`NoiseModel.apply` call.
+
+    The draw covers the cells of every pair in :func:`programmed_cells`
+    order, so programming a stack of tiles from one generator is the same
+    field however the tiles are held.
+    """
+    cells, attenuation = programmed_cells(pairs, rows, noise)
+    drawn = noise.apply(cells, cell.g_min, cell.g_max, rng, attenuation)
+    noisy = []
+    start = 0
+    for g_pos, _ in pairs:
+        block = drawn[start : start + 2 * g_pos.size].reshape(g_pos.shape + (2,))
+        noisy.append((block[..., 0], block[..., 1]))
+        start += 2 * g_pos.size
+    return noisy
 
 
 @dataclass
@@ -98,14 +144,32 @@ class CrossbarArray:
             )
         cell = self.peripherals.cell
         g_pos, g_neg, used_scale = weights_to_conductances(weights, cell, scale)
+        if not self.noise.is_ideal:
+            # The one-tile case of a tiled programming: one draw over the
+            # programmed cells, none over the padding.
+            [(g_pos, g_neg)] = perturb_pairs(
+                [(g_pos, g_neg)], self.rows, self.noise, cell, self._rng
+            )
+        self.load(g_pos, g_neg, used_scale)
+
+    def load(self, g_pos: np.ndarray, g_neg: np.ndarray, scale: float) -> None:
+        """Hold an already-programmed ``(r, c)`` differential pair.
+
+        The rest of the array stays at ``g_min`` on both sides.  No
+        quantization or noise is applied: :meth:`program` and
+        :class:`repro.imc.tiles.TiledMatrix` do that before loading.
+        """
+        r, c = g_pos.shape
+        if r > self.rows or c > self.cols:
+            raise ValueError(
+                f"conductance block {g_pos.shape} does not fit a {self.rows}x{self.cols} crossbar"
+            )
+        cell = self.peripherals.cell
         self._g_pos = np.full((self.rows, self.cols), cell.g_min)
         self._g_neg = np.full((self.rows, self.cols), cell.g_min)
         self._g_pos[:r, :c] = g_pos
         self._g_neg[:r, :c] = g_neg
-        if not self.noise.is_ideal:
-            self._g_pos = self.noise.apply(self._g_pos, cell.g_min, cell.g_max, self._rng)
-            self._g_neg = self.noise.apply(self._g_neg, cell.g_min, cell.g_max, self._rng)
-        self._scale = used_scale
+        self._scale = scale
         self._programmed_shape = (r, c)
 
     @property

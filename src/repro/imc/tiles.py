@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..mapping.geometry import ArrayDims, ceil_div
-from .crossbar import CrossbarArray
+from .crossbar import CrossbarArray, perturb_pairs, weights_to_conductances
 from .noise import NoiseModel
 from .peripherals import PeripheralSuite, default_peripherals
 
@@ -28,9 +28,9 @@ class TileBlock:
     """One allocated tile of a tiled matrix, in mapping orientation.
 
     ``index`` is the allocation order (row-major over the tile grid, skipping
-    unallocated tiles), which is also the per-tile seed offset — both the
-    per-tile and the batched executors derive their RNG streams from it, so
-    the two produce identical noise draws.
+    unallocated tiles), which is also the order in which a programming's one
+    noise draw covers the tiles' cells — both the per-tile and the batched
+    executors walk it, so the two produce identical noise draws.
     """
 
     index: int
@@ -91,6 +91,12 @@ class TiledMatrix:
     positions, i.e. the layer computes ``y = M x``.  Physically each tile is
     programmed transposed (inputs on word lines), which
     :class:`repro.imc.crossbar.CrossbarArray` handles internally.
+
+    A noisy programming draws one field over the programmed cells of every
+    allocated tile from ``numpy.random.default_rng(seed)`` (one
+    :meth:`NoiseModel.apply` call, see
+    :func:`repro.imc.crossbar.programmed_cells`) and loads each tile's slice
+    into its crossbar.
     """
 
     matrix: np.ndarray
@@ -115,7 +121,15 @@ class TiledMatrix:
         out_dim, in_dim = self.matrix.shape
         self._row_tiles = ceil_div(in_dim, self.array.rows)
         self._col_tiles = ceil_div(out_dim, self.array.logical_cols)
-        for tile in iter_tile_blocks(self.matrix, self.array, self.skip_zero_tiles):
+        cell = self.peripherals.cell
+        blocks = iter_tile_blocks(self.matrix, self.array, self.skip_zero_tiles)
+        # Physical layout: inputs on rows, outputs on columns.
+        programmed = [weights_to_conductances(tile.block.T, cell) for tile in blocks]
+        pairs = [(g_pos, g_neg) for g_pos, g_neg, _ in programmed]
+        if blocks and not self.noise.is_ideal:
+            rng = np.random.default_rng(self.seed)
+            pairs = perturb_pairs(pairs, self.array.rows, self.noise, cell, rng)
+        for tile, (g_pos, g_neg), (_, _, scale) in zip(blocks, pairs, programmed):
             crossbar = CrossbarArray(
                 rows=self.array.rows,
                 cols=self.array.logical_cols,
@@ -123,10 +137,8 @@ class TiledMatrix:
                 noise=self.noise,
                 input_bits=self.input_bits,
                 output_bits=self.output_bits,
-                seed=self.seed + tile.index,
             )
-            # Physical layout: inputs on rows, outputs on columns.
-            crossbar.program(tile.block.T)
+            crossbar.load(g_pos, g_neg, scale)
             self._tiles[(tile.tile_row, tile.tile_col)] = crossbar
 
     # ------------------------------------------------------------------

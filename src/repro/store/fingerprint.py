@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 #: Bump on any intentional numeric change so stale artifacts stop matching.
-CODE_VERSION_SALT = "repro-store-v2"
+CODE_VERSION_SALT = "repro-store-v3"
 
 #: Environment override, useful for forcing a cold store without deleting it.
 SALT_ENV_VAR = "REPRO_STORE_SALT"
@@ -62,7 +62,7 @@ def active_salt() -> str:
     """The effective fingerprint salt: base salt + the active precision token.
 
     The execution backend's precision policy is folded into the salt
-    (``repro-store-v2+float32`` under the ``numpy32`` backend), so warm
+    (``repro-store-v3+float32`` under the ``numpy32`` backend), so warm
     artifacts computed at different precisions can never collide.  The
     bit-identical float64 family (``numpy64``, ``threaded``) contributes an
     empty token and shares the base salt — and therefore shares artifacts.

@@ -28,7 +28,7 @@ NOISE_MODELS = {
     "typical": NoiseModel.typical(),
     "harsh": NoiseModel(conductance_sigma=0.3, stuck_at_rate=0.01, ir_drop_severity=0.1),
     # Single-mechanism models: stuck-at faults and IR drop each consume the
-    # per-tile RNG streams differently than conductance variation, so the
+    # programming's noise draw differently than conductance variation, so the
     # batched/per-tile equivalence is asserted for each path in isolation.
     "faults_only": NoiseModel(stuck_at_rate=0.03),
     "ir_drop_only": NoiseModel(ir_drop_severity=0.08),
