@@ -53,10 +53,10 @@ def random_weight(geometry, rng):
 
 def plan_for(ctx, geometry, weight, trials):
     if isinstance(geometry, GroupedConvGeometry):
-        return ctx.grouped_conv_monte_carlo_plan(weight, geometry, trials=trials)
+        return ctx.grouped_conv_plan(weight, geometry, trials=trials)
     if isinstance(geometry, AttentionProjectionGeometry):
-        return ctx.attention_monte_carlo_plan(weight, geometry, trials=trials)
-    return ctx.dense_monte_carlo_plan(weight, trials=trials, geometry=geometry)
+        return ctx.attention_projection_plan(weight, geometry, trials=trials)
+    return ctx.dense_plan(weight, trials=trials, geometry=geometry)
 
 
 def main() -> None:

@@ -47,8 +47,8 @@ def main() -> None:
     rows = []
     for name, scenario in scenario_registry().items():
         ctx = scenario.context(array, seed=1)
-        dense = ctx.dense_monte_carlo_plan(weight, trials=args.trials).run(inputs)
-        compressed = ctx.lowrank_monte_carlo_plan(
+        dense = ctx.dense_plan(weight, trials=args.trials).run(inputs)
+        compressed = ctx.lowrank_plan(
             weight, rank=rank, trials=args.trials, groups=groups
         ).run(inputs)
         rows.append(

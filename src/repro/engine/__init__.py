@@ -8,9 +8,9 @@ root):
   (``trials`` noisy programmings; :class:`BatchedTiledMatrix` is its
   one-trial case);
 * **pipeline layer** (:mod:`repro.engine.context`) — :class:`ExecutionContext`
-  with :class:`LayerPlan` and :class:`MonteCarloPlan`, which fuse decompose →
-  map → simulate → energy with memoized decompositions
-  (:mod:`repro.engine.cache`);
+  and :class:`LayerPlan` (one programming, or a stack of ``trials``
+  Monte-Carlo programmings), which fuse decompose → map → simulate → energy
+  with memoized decompositions (:mod:`repro.engine.cache`);
 * **experiment layer** (:mod:`repro.engine.sweep`) — the registry-based sweep
   runner the Table I / Fig. 6–9 harnesses declare themselves against.
 """
@@ -23,7 +23,6 @@ from .cache import (
 from .context import (
     ExecutionContext,
     LayerPlan,
-    MonteCarloPlan,
     MonteCarloResult,
     SimulationResult,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "matrix_fingerprint",
     "ExecutionContext",
     "LayerPlan",
-    "MonteCarloPlan",
     "MonteCarloResult",
     "SimulationResult",
     "BatchedTiledMatrix",

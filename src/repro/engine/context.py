@@ -1,21 +1,23 @@
 """Pipeline layer: fuse decompose → map → simulate → energy per layer.
 
 An :class:`ExecutionContext` captures the hardware configuration (array
-dimensions, peripherals, noise model, DAC/ADC bit widths, seed) and the
-execution backend ("batched" stacked-tensor kernels by default, the per-tile
-"legacy" path as the cross-check oracle).  From a context, a
-:class:`LayerPlan` is built **once** per mapped layer: low-rank factors come
-from the shared :class:`repro.engine.cache.DecompositionCache` (so sweeps over
-array sizes and noise levels never re-decompose identical weights), the stage
-matrices are programmed onto (batched) tiles once, and every subsequent input
-batch reuses the programmed tiles — the plan fuses what the seed code base
-re-wired by hand in every harness.
+dimensions, peripherals, noise model, DAC/ADC bit widths, seed), the engine
+("batched" stacked-tensor kernels by default, the per-tile "legacy" path as
+the cross-check oracle) and the execution backend (:mod:`repro.backend`).
+From a context, a :class:`LayerPlan` is built **once** per mapped layer:
+low-rank factors come from the shared
+:class:`repro.engine.cache.DecompositionCache` (so sweeps over array sizes and
+noise levels never re-decompose identical weights), the stage matrices are
+programmed onto tiles once (``trials=None``) or as a stack of ``trials``
+Monte-Carlo programmings, and every subsequent input batch reuses the
+programmed tiles — the plan fuses what the seed code base re-wired by hand in
+every harness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -43,12 +45,12 @@ __all__ = [
     "SimulationResult",
     "LayerPlan",
     "MonteCarloResult",
-    "MonteCarloPlan",
     "ExecutionContext",
 ]
 
-#: Either tiled-matrix implementation; both expose the same executor surface.
-TiledBackend = Union[TiledMatrix, BatchedTiledMatrix]
+#: Either tile kernel (BatchedTiledMatrix is the one-trial MonteCarloTiledMatrix);
+#: both expose the same executor surface.
+TiledBackend = Union[TiledMatrix, MonteCarloTiledMatrix]
 
 
 @dataclass(frozen=True)
@@ -83,15 +85,22 @@ class LayerPlan:
     reference ``W`` used to report the combined approximation + hardware
     error; ``geometry`` (when present) lets the plan consume NCHW feature maps
     directly via the vectorized im2col kernel.
+
+    ``trials=None`` programs every stage once.  An integer programs each
+    stage ``trials`` times on :class:`MonteCarloTiledMatrix` kernels sharing
+    the trial axis, so trial ``t`` of stage 2 consumes trial ``t`` of stage
+    1, exactly as a sequential per-trial run would.
     """
 
     method: str
     stages: List[TiledBackend]
     exact_matrix: np.ndarray
     geometry: Optional[ConvGeometry] = None
+    trials: Optional[int] = None
 
     @property
     def allocated_tiles(self) -> int:
+        """Tiles of ONE programming (all trials share the allocation layout)."""
         return sum(stage.num_allocated_tiles for stage in self.stages)
 
     @property
@@ -99,7 +108,7 @@ class LayerPlan:
         return sum(stage.total_activations for stage in self.stages)
 
     def activation_energy_pj(self) -> float:
-        """Energy of pushing one input vector through every stage."""
+        """Energy of pushing one input vector through every stage, per trial."""
         return sum(stage.activation_energy_pj() for stage in self.stages)
 
     def columns(self, inputs: np.ndarray) -> np.ndarray:
@@ -112,22 +121,29 @@ class LayerPlan:
             raise ValueError(f"expected a 2-D column batch or NCHW inputs, got shape {inputs.shape}")
         return inputs
 
-    def run(self, inputs: np.ndarray) -> SimulationResult:
-        """Execute the plan on a batch and report outputs, error and energy."""
+    def run(self, inputs: np.ndarray) -> Union[SimulationResult, MonteCarloResult]:
+        """Execute the plan on a batch and report outputs, error and energy.
+
+        A single programming gives a :class:`SimulationResult`; a trial stack
+        gives a :class:`MonteCarloResult` of the per-trial spread.
+        """
         columns = self.columns(inputs)
-        outputs = columns
+        outputs = columns  # 2-D shared batch; (trials, batch, ·) after a trial stage
         for stage in self.stages:
             outputs = stage.mvm_batch(outputs)
         exact = columns @ self.exact_matrix.T
         energy = self.activation_energy_pj() * columns.shape[0]
-        return SimulationResult(
+        result = dict(
             method=self.method,
             outputs=outputs,
             exact=exact,
             allocated_tiles=self.allocated_tiles,
-            activations=sum(stage.total_activations for stage in self.stages),
+            activations=self.activations,
             energy_pj=energy,
         )
+        if self.trials is None:
+            return SimulationResult(**result)
+        return MonteCarloResult(**result, trials=self.trials)
 
 
 @dataclass(frozen=True)
@@ -173,58 +189,12 @@ class MonteCarloResult:
 
 
 @dataclass
-class MonteCarloPlan:
-    """One mapped layer programmed ``trials`` times, ready to execute batches.
-
-    The Monte-Carlo analogue of :class:`LayerPlan`: stages are
-    :class:`MonteCarloTiledMatrix` kernels sharing the trial axis, so a
-    two-stage low-rank plan chains per-trial intermediates — trial ``t`` of
-    stage 2 consumes trial ``t`` of stage 1, exactly as a sequential per-trial
-    run would.
-    """
-
-    method: str
-    stages: List[MonteCarloTiledMatrix]
-    exact_matrix: np.ndarray
-    trials: int
-    geometry: Optional[ConvGeometry] = None
-
-    @property
-    def allocated_tiles(self) -> int:
-        """Tiles of ONE trial (all trials share the allocation layout)."""
-        return sum(stage.num_allocated_tiles for stage in self.stages)
-
-    def activation_energy_pj(self) -> float:
-        """Energy of pushing one input vector through every stage, per trial."""
-        return sum(stage.activation_energy_pj() for stage in self.stages)
-
-    columns = LayerPlan.columns
-
-    def run(self, inputs: np.ndarray) -> MonteCarloResult:
-        """Execute every trial on a batch and report the output spread."""
-        columns = self.columns(inputs)
-        outputs = columns  # 2-D shared batch; becomes (trials, batch, ·) after stage 1
-        for stage in self.stages:
-            outputs = stage.mvm_batch(outputs)
-        exact = columns @ self.exact_matrix.T
-        energy = self.activation_energy_pj() * columns.shape[0]
-        return MonteCarloResult(
-            method=self.method,
-            outputs=outputs,
-            exact=exact,
-            trials=self.trials,
-            allocated_tiles=self.allocated_tiles,
-            activations=sum(stage.total_activations for stage in self.stages),
-            energy_pj=energy,
-        )
-
-
-@dataclass
 class ExecutionContext:
     """Hardware configuration + engine/backend choice + shared decomposition cache.
 
-    ``engine`` picks the executor implementation (``"batched"`` stacked-tile
-    kernels, ``"legacy"`` per-tile oracle); ``backend`` picks the execution
+    ``engine`` picks the executor implementation of a single programming
+    (``"batched"`` stacked-tile kernels, ``"legacy"`` per-tile oracle; a
+    ``trials`` stack always runs batched); ``backend`` picks the execution
     backend (:mod:`repro.backend`) the batched kernels and the decomposition
     cache compute through — ``None`` resolves to the active process default
     (``--backend`` / ``$REPRO_BACKEND`` / ``numpy64``).  The legacy per-tile
@@ -263,19 +233,15 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     # Tile construction
     # ------------------------------------------------------------------
-    def tiled(self, matrix: np.ndarray, seed_offset: int = 0) -> TiledBackend:
-        """Program a mapped matrix onto tiles using the configured engine."""
-        if self.engine == "legacy":
-            return TiledMatrix(
-                matrix=matrix,
-                array=self.array,
-                peripherals=self.peripherals,
-                noise=self.noise,
-                input_bits=self.input_bits,
-                output_bits=self.output_bits,
-                seed=self.seed + seed_offset,
-            )
-        return BatchedTiledMatrix(
+    def tiled(
+        self, matrix: np.ndarray, seed_offset: int = 0, trials: Optional[int] = None
+    ) -> TiledBackend:
+        """Program a mapped matrix onto tiles once, or ``trials`` times stacked.
+
+        A single programming runs on the configured engine; a trial stack
+        always runs on :class:`MonteCarloTiledMatrix`, whatever the engine.
+        """
+        common = dict(
             matrix=matrix,
             array=self.array,
             peripherals=self.peripherals,
@@ -283,8 +249,12 @@ class ExecutionContext:
             input_bits=self.input_bits,
             output_bits=self.output_bits,
             seed=self.seed + seed_offset,
-            backend=self.backend,
         )
+        if trials is not None:
+            return MonteCarloTiledMatrix(**common, trials=trials, backend=self.backend)
+        if self.engine == "legacy":
+            return TiledMatrix(**common)
+        return BatchedTiledMatrix(**common, backend=self.backend)
 
     # ------------------------------------------------------------------
     # Plans
@@ -295,51 +265,87 @@ class ExecutionContext:
         matrices: List[np.ndarray],
         exact_matrix: np.ndarray,
         geometry: Optional[ConvGeometry],
-        trials: Optional[int] = None,
-        trial_stride: int = TRIAL_SEED_STRIDE,
-    ) -> Union[LayerPlan, MonteCarloPlan]:
+        trials: Optional[int],
+    ) -> LayerPlan:
         """Program each stage matrix once (``trials=None``) or ``trials`` times.
 
-        Stages are spaced by STAGE_SEED_STRIDE, on a scale apart from the
-        trial stride, so no (stage, trial) programming of a plan shares its
-        seed — and with it its whole noise draw — with another.  Both kinds
-        of plan share these offsets, so trial ``t`` of a Monte-Carlo plan is
-        bit-identical to the single-programming plan of ``trial_context(t)``.
+        Stages are spaced by STAGE_SEED_STRIDE, on a scale apart from
+        TRIAL_SEED_STRIDE, so no (stage, trial) programming of a plan shares
+        its seed — and with it its whole noise draw — with another.  Trial
+        ``t`` of a plan is therefore bit-identical to the single-programming
+        plan of ``trial_context(t)``.
         """
-        offsets = [stage * STAGE_SEED_STRIDE for stage in range(len(matrices))]
-        if trials is None:
-            stages = [self.tiled(matrix, offset) for matrix, offset in zip(matrices, offsets)]
-            return LayerPlan(method, stages, exact_matrix, geometry)
         stages = [
-            self.monte_carlo_tiled(matrix, trials, offset, trial_stride)
-            for matrix, offset in zip(matrices, offsets)
+            self.tiled(matrix, stage * STAGE_SEED_STRIDE, trials)
+            for stage, matrix in enumerate(matrices)
         ]
-        return MonteCarloPlan(method, stages, exact_matrix, trials, geometry)
+        return LayerPlan(method, stages, exact_matrix, geometry, trials)
 
-    def _lowrank_stages(
-        self, weight_matrix: np.ndarray, rank: int, groups: int
-    ) -> Tuple[str, List[np.ndarray]]:
-        """Method name and the two stage matrices of the grouped low-rank plan."""
+    def dense_plan(
+        self,
+        weight_matrix: np.ndarray,
+        geometry: Optional[ConvGeometry] = None,
+        trials: Optional[int] = None,
+    ) -> LayerPlan:
+        """Plan the dense (im2col) mapping of ``y = W x``."""
+        return self._plan("dense", [weight_matrix], weight_matrix, geometry, trials)
+
+    def lowrank_plan(
+        self,
+        weight_matrix: np.ndarray,
+        rank: int,
+        groups: int = 1,
+        geometry: Optional[ConvGeometry] = None,
+        trials: Optional[int] = None,
+    ) -> LayerPlan:
+        """Plan the grouped two-stage computation ``y = [L_1…L_g] diag(R_i) x``.
+
+        The group decomposition is memoized in the shared cache, so building
+        the same plan for another array size, noise level or trial count
+        reuses the SVDs.
+        """
         factors = self.decompositions.group_decompose(
             weight_matrix, rank, groups, backend=self.backend
         )
-        method = f"lowrank(g={groups},k={rank})"
-        return method, [factors.block_diagonal_right(), factors.stacked_left()]
+        stages = [factors.block_diagonal_right(), factors.stacked_left()]
+        return self._plan(
+            f"lowrank(g={groups},k={rank})", stages, weight_matrix, geometry, trials
+        )
 
-    @staticmethod
-    def _grouped_matrix(
-        weight: np.ndarray, geometry: GroupedConvGeometry
-    ) -> Tuple[str, np.ndarray]:
-        """Method name and block-diagonal im2col matrix of a grouped conv."""
+    def conv_dense_plan(self, weight: np.ndarray, geometry: ConvGeometry) -> LayerPlan:
+        """Dense plan of a convolution given its (out, in, kh, kw) kernel."""
+        return self.dense_plan(weight.reshape(geometry.m, geometry.n), geometry=geometry)
+
+    def grouped_conv_plan(
+        self,
+        weight: np.ndarray,
+        geometry: GroupedConvGeometry,
+        trials: Optional[int] = None,
+    ) -> LayerPlan:
+        """Plan a grouped/depthwise conv via block-diagonal tile placement.
+
+        ``weight`` is the framework kernel ``(out_channels, group_in_channels,
+        kh, kw)``; lowering it to the block-diagonal im2col matrix and
+        programming that through the ordinary dense path allocates exactly the
+        tiles :func:`repro.mapping.grouped.tiles_for_grouped_conv` predicts —
+        off-diagonal all-zero tiles are structurally skipped, on both engines.
+        """
         method = "depthwise" if geometry.is_depthwise else f"grouped(g={geometry.groups})"
-        return method, expand_grouped_kernel(weight, geometry)
+        matrix = expand_grouped_kernel(weight, geometry)
+        return self._plan(method, [matrix], matrix, geometry, trials)
 
-    @staticmethod
-    def _attention_matrix(
+    def attention_projection_plan(
+        self,
         weights: Union[np.ndarray, List[np.ndarray]],
         geometry: AttentionProjectionGeometry,
-    ) -> Tuple[str, np.ndarray]:
-        """Method name and row-stacked matrix of an attention projection."""
+        trials: Optional[int] = None,
+    ) -> LayerPlan:
+        """Plan an attention projection as one row-stacked dense GEMM.
+
+        ``weights`` is either the fused ``(m, d_model)`` matrix or a sequence
+        of per-projection ``(d_out, d_model)`` matrices (Q/K/V) that share
+        their input and are stacked before mapping.
+        """
         if isinstance(weights, np.ndarray) and weights.ndim == 2:
             matrix = weights
         else:
@@ -350,148 +356,16 @@ class ExecutionContext:
                 f"({geometry.m}, {geometry.n})"
             )
         method = "attention" if geometry.projections == 1 else f"attention(p={geometry.projections})"
-        return method, matrix
+        return self._plan(method, [matrix], matrix, geometry, trials)
 
-    def dense_plan(
-        self, weight_matrix: np.ndarray, geometry: Optional[ConvGeometry] = None
-    ) -> LayerPlan:
-        """Plan the dense (im2col) mapping of ``y = W x``."""
-        return self._plan("dense", [weight_matrix], weight_matrix, geometry)
-
-    def lowrank_plan(
-        self,
-        weight_matrix: np.ndarray,
-        rank: int,
-        groups: int = 1,
-        geometry: Optional[ConvGeometry] = None,
-    ) -> LayerPlan:
-        """Plan the grouped two-stage computation ``y = [L_1…L_g] diag(R_i) x``.
-
-        The group decomposition is memoized in the shared cache, so building
-        the same plan for another array size or noise level reuses the SVDs.
-        """
-        method, matrices = self._lowrank_stages(weight_matrix, rank, groups)
-        return self._plan(method, matrices, weight_matrix, geometry)
-
-    def conv_dense_plan(self, weight: np.ndarray, geometry: ConvGeometry) -> LayerPlan:
-        """Dense plan of a convolution given its (out, in, kh, kw) kernel."""
-        return self.dense_plan(weight.reshape(geometry.m, geometry.n), geometry=geometry)
-
-    def grouped_conv_plan(
-        self, weight: np.ndarray, geometry: GroupedConvGeometry
-    ) -> LayerPlan:
-        """Plan a grouped/depthwise conv via block-diagonal tile placement.
-
-        ``weight`` is the framework kernel ``(out_channels, group_in_channels,
-        kh, kw)``; lowering it to the block-diagonal im2col matrix and
-        programming that through the ordinary dense path allocates exactly the
-        tiles :func:`repro.mapping.grouped.tiles_for_grouped_conv` predicts —
-        off-diagonal all-zero tiles are structurally skipped, on both engines.
-        """
-        method, matrix = self._grouped_matrix(weight, geometry)
-        return self._plan(method, [matrix], matrix, geometry)
-
-    def attention_projection_plan(
-        self,
-        weights: Union[np.ndarray, List[np.ndarray]],
-        geometry: AttentionProjectionGeometry,
-    ) -> LayerPlan:
-        """Plan an attention projection as one row-stacked dense GEMM.
-
-        ``weights`` is either the fused ``(m, d_model)`` matrix or a sequence
-        of per-projection ``(d_out, d_model)`` matrices (Q/K/V) that share
-        their input and are stacked before mapping.
-        """
-        method, matrix = self._attention_matrix(weights, geometry)
-        return self._plan(method, [matrix], matrix, geometry)
-
-    # ------------------------------------------------------------------
-    # Monte-Carlo plans (batched robustness trials)
-    # ------------------------------------------------------------------
-    def trial_context(self, trial: int, trial_stride: int = TRIAL_SEED_STRIDE) -> "ExecutionContext":
+    def trial_context(self, trial: int) -> "ExecutionContext":
         """The context a sequential run of Monte-Carlo trial ``trial`` uses.
 
         ``ctx.trial_context(t).lowrank_plan(...)`` programs exactly the
-        conductances of trial ``t`` of ``ctx.lowrank_monte_carlo_plan(...)``
+        conductances of trial ``t`` of ``ctx.lowrank_plan(..., trials=R)``
         — the sequential oracle of the batched Monte-Carlo kernel.
         """
-        return replace(self, seed=self.seed + trial * trial_stride)
-
-    def monte_carlo_tiled(
-        self,
-        matrix: np.ndarray,
-        trials: int,
-        seed_offset: int = 0,
-        trial_stride: int = TRIAL_SEED_STRIDE,
-    ) -> MonteCarloTiledMatrix:
-        """Program a mapped matrix onto tiles ``trials`` times, stacked."""
-        return MonteCarloTiledMatrix(
-            matrix=matrix,
-            array=self.array,
-            trials=trials,
-            peripherals=self.peripherals,
-            noise=self.noise,
-            input_bits=self.input_bits,
-            output_bits=self.output_bits,
-            seed=self.seed + seed_offset,
-            trial_stride=trial_stride,
-            backend=self.backend,
-        )
-
-    def dense_monte_carlo_plan(
-        self,
-        weight_matrix: np.ndarray,
-        trials: int,
-        geometry: Optional[ConvGeometry] = None,
-        trial_stride: int = TRIAL_SEED_STRIDE,
-    ) -> MonteCarloPlan:
-        """Monte-Carlo plan of the dense (im2col) mapping of ``y = W x``."""
-        return self._plan("dense", [weight_matrix], weight_matrix, geometry, trials, trial_stride)
-
-    def lowrank_monte_carlo_plan(
-        self,
-        weight_matrix: np.ndarray,
-        rank: int,
-        trials: int,
-        groups: int = 1,
-        geometry: Optional[ConvGeometry] = None,
-        trial_stride: int = TRIAL_SEED_STRIDE,
-    ) -> MonteCarloPlan:
-        """Monte-Carlo plan of the grouped two-stage low-rank computation.
-
-        Trial ``t`` is bit-identical to
-        ``trial_context(t).lowrank_plan(...)``: same factors, same stage seed
-        offsets.
-        """
-        method, matrices = self._lowrank_stages(weight_matrix, rank, groups)
-        return self._plan(method, matrices, weight_matrix, geometry, trials, trial_stride)
-
-    def grouped_conv_monte_carlo_plan(
-        self,
-        weight: np.ndarray,
-        geometry: GroupedConvGeometry,
-        trials: int,
-        trial_stride: int = TRIAL_SEED_STRIDE,
-    ) -> MonteCarloPlan:
-        """Monte-Carlo plan of the block-diagonal grouped/depthwise mapping.
-
-        Trial ``t`` is bit-identical to
-        ``trial_context(t).grouped_conv_plan(weight, geometry)`` — same tile
-        allocation, same noise draw.
-        """
-        method, matrix = self._grouped_matrix(weight, geometry)
-        return self._plan(method, [matrix], matrix, geometry, trials, trial_stride)
-
-    def attention_monte_carlo_plan(
-        self,
-        weights: Union[np.ndarray, List[np.ndarray]],
-        geometry: AttentionProjectionGeometry,
-        trials: int,
-        trial_stride: int = TRIAL_SEED_STRIDE,
-    ) -> MonteCarloPlan:
-        """Monte-Carlo plan of a stacked attention-projection GEMM."""
-        method, matrix = self._attention_matrix(weights, geometry)
-        return self._plan(method, [matrix], matrix, geometry, trials, trial_stride)
+        return replace(self, seed=self.seed + trial * TRIAL_SEED_STRIDE)
 
     def conv_lowrank_plan(
         self, weight: np.ndarray, geometry: ConvGeometry, rank: int, groups: int = 1

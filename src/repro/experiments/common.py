@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..imc.energy import EnergyModel
 from ..mapping.cycles import im2col_cycles, lowrank_cycles, pairs_cycles, pattern_pruning_cycles
 from ..mapping.geometry import ArrayDims, ConvGeometry
@@ -36,6 +38,7 @@ __all__ = [
     "NetworkWorkload",
     "get_workload",
     "swept_scenarios",
+    "reference_inputs",
     "baseline_cycles",
     "lowrank_network_cycles",
     "pattern_network_cycles",
@@ -118,6 +121,18 @@ def swept_scenarios(scenarios: Optional[Sequence[str]]) -> Tuple[str, ...]:
     for name in selected:
         get_scenario(name)
     return selected
+
+
+def reference_inputs(geometry: ConvGeometry, batch: int, seed: int) -> np.ndarray:
+    """Deterministic Gaussian ``(batch, n)`` input columns of a Monte-Carlo sweep.
+
+    Every trial and scenario of a sweep cell shares them; their weights come
+    from :func:`repro.training.proxy.reference_matrix`.
+    """
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed + 1, spawn_key=(geometry.n, batch))
+    )
+    return rng.standard_normal((batch, geometry.n))
 
 
 def _fixed_layer_cycles(workload: NetworkWorkload, array: ArrayDims) -> int:

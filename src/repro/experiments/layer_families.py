@@ -42,8 +42,9 @@ from ..mapping.geometry import (
 from ..mapping.cycles import tiles_for_matrix
 from ..mapping.grouped import tiles_for_grouped_conv
 from ..scenarios import get_scenario
+from ..training.proxy import reference_matrix
 from ..workloads import network_geometries
-from .common import swept_scenarios
+from .common import reference_inputs, swept_scenarios
 
 __all__ = [
     "FAMILIES",
@@ -138,8 +139,8 @@ def _family_weight(geometry: ConvGeometry, seed: int) -> np.ndarray:
     Grouped/depthwise layers draw the framework kernel tensor
     ``(out_channels, group_in_channels, kh, kw)`` (the ``groups`` spawn key
     keeps the stream distinct from a dense layer of the same im2col shape);
-    everything else draws the ``(m, n)`` matrix directly.  Scales follow the
-    robustness convention: unit output variance for unit Gaussian inputs.
+    everything else is :func:`repro.training.proxy.reference_matrix`.  Both
+    scale to unit output variance for unit Gaussian inputs.
     """
     if isinstance(geometry, GroupedConvGeometry):
         rng = np.random.default_rng(
@@ -157,27 +158,16 @@ def _family_weight(geometry: ConvGeometry, seed: int) -> np.ndarray:
                 geometry.kernel_w,
             ),
         )
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(geometry.m, geometry.n))
-    )
-    return rng.normal(0.0, 1.0 / np.sqrt(geometry.n), size=(geometry.m, geometry.n))
-
-
-def _family_inputs(geometry: ConvGeometry, batch: int, seed: int) -> np.ndarray:
-    """Deterministic Gaussian input columns shared by every trial and scenario."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed + 1, spawn_key=(geometry.n, batch))
-    )
-    return rng.standard_normal((batch, geometry.n))
+    return reference_matrix(geometry, seed)
 
 
 def _family_plan(ctx, geometry: ConvGeometry, weight: np.ndarray, trials: int):
     """The Monte-Carlo plan of one family's representative layer."""
     if isinstance(geometry, GroupedConvGeometry):
-        return ctx.grouped_conv_monte_carlo_plan(weight, geometry, trials=trials)
+        return ctx.grouped_conv_plan(weight, geometry, trials=trials)
     if isinstance(geometry, AttentionProjectionGeometry):
-        return ctx.attention_monte_carlo_plan(weight, geometry, trials=trials)
-    return ctx.dense_monte_carlo_plan(weight, trials=trials, geometry=geometry)
+        return ctx.attention_projection_plan(weight, geometry, trials=trials)
+    return ctx.dense_plan(weight, trials=trials, geometry=geometry)
 
 
 def _family_point(
@@ -193,7 +183,7 @@ def _family_point(
     network = FAMILY_NETWORKS[family]
     array = ArrayDims.square(array_size)
     weight = _family_weight(geometry, seed)
-    inputs = _family_inputs(geometry, batch, seed)
+    inputs = reference_inputs(geometry, batch, seed)
     ctx = get_scenario(scenario_name).context(array, seed=seed)
     result = _family_plan(ctx, geometry, weight, trials).run(inputs)
 

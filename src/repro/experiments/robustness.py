@@ -26,16 +26,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..analysis.tables import format_energy_pj, format_table
 from ..backend import active_precision
 from ..engine.context import MonteCarloResult
 from ..engine.sweep import ExperimentSpec, register_experiment
 from ..mapping.geometry import ArrayDims, ConvGeometry
 from ..scenarios import HardwareScenario, get_scenario
-from ..training.proxy import AccuracyProxy
-from .common import get_workload, swept_scenarios
+from ..training.proxy import AccuracyProxy, reference_matrix
+from .common import get_workload, reference_inputs, swept_scenarios
 
 __all__ = [
     "MAPPINGS",
@@ -103,34 +101,13 @@ def representative_layer(network: str) -> ConvGeometry:
     return compressible[len(compressible) // 2]
 
 
-def _reference_weight(geometry: ConvGeometry, seed: int) -> np.ndarray:
-    """Deterministic Gaussian im2col weight matrix with the layer's shape.
-
-    Uses the same seeding scheme as the accuracy proxy's reference matrices
-    (:mod:`repro.training.proxy`), so the measured errors live on the scale
-    its error→accuracy calibration curve was anchored with.
-    """
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(geometry.m, geometry.n))
-    )
-    return rng.normal(0.0, 1.0 / np.sqrt(geometry.n), size=(geometry.m, geometry.n))
-
-
-def _reference_inputs(geometry: ConvGeometry, batch: int, seed: int) -> np.ndarray:
-    """Deterministic Gaussian input columns shared by every trial and scenario."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed + 1, spawn_key=(geometry.n, batch))
-    )
-    return rng.standard_normal((batch, geometry.n))
-
-
 def _mapping_plan(scenario_ctx, weight, mapping, rank, groups, trials):
     if mapping == "im2col":
-        return scenario_ctx.dense_monte_carlo_plan(weight, trials=trials)
+        return scenario_ctx.dense_plan(weight, trials=trials)
     if mapping == "lowrank":
-        return scenario_ctx.lowrank_monte_carlo_plan(weight, rank=rank, trials=trials, groups=1)
+        return scenario_ctx.lowrank_plan(weight, rank=rank, trials=trials, groups=1)
     if mapping == "group_lowrank":
-        return scenario_ctx.lowrank_monte_carlo_plan(
+        return scenario_ctx.lowrank_plan(
             weight, rank=rank, trials=trials, groups=groups
         )
     raise ValueError(f"unknown mapping {mapping!r}; expected one of {MAPPINGS}")
@@ -165,8 +142,8 @@ def _ideal_error(
     precision's reference error to the other.
     """
     geometry = representative_layer(network)
-    weight = _reference_weight(geometry, seed)
-    inputs = _reference_inputs(geometry, batch, seed)
+    weight = reference_matrix(geometry, seed)
+    inputs = reference_inputs(geometry, batch, seed)
     rank = max(1, geometry.m // rank_divisor)
     effective_groups = AccuracyProxy._effective_groups(geometry, groups)
     ctx = get_scenario("ideal").context(ArrayDims.square(array_size), seed=seed)
@@ -187,8 +164,8 @@ def _scenario_points(
     """All mapping points of one (network, scenario) sweep cell."""
     scenario: HardwareScenario = get_scenario(scenario_name)
     geometry = representative_layer(network)
-    weight = _reference_weight(geometry, seed)
-    inputs = _reference_inputs(geometry, batch, seed)
+    weight = reference_matrix(geometry, seed)
+    inputs = reference_inputs(geometry, batch, seed)
     rank = max(1, geometry.m // rank_divisor)
     effective_groups = AccuracyProxy._effective_groups(geometry, groups)
     proxy = get_workload(network).proxy

@@ -187,10 +187,11 @@ class NoiseModel:
     def with_seed(self, seed: int) -> "NoiseModel":
         """The same non-ideality parameters with a different RNG seed.
 
-        Monte-Carlo sweeps derive per-trial models from one corner this way;
-        note the crossbar, tile and kernel programmers pass an explicit
-        generator seeded from their own ``seed``, so this seed only matters
-        for direct :meth:`apply` calls.
+        The seed only matters for direct :meth:`apply` calls without a
+        generator: the crossbar, tile and kernel programmers pass an explicit
+        generator seeded from their own ``seed`` (a Monte-Carlo kernel seeds
+        trial ``t`` with ``seed + t · trial_stride``), so no sweep reseeds
+        the model itself.
         """
         return replace(self, seed=seed)
 

@@ -29,6 +29,7 @@ import numpy as np
 from ..mapping.cycles import lowrank_cycles
 from ..mapping.geometry import ArrayDims, ConvGeometry
 from ..nn.modules import Conv2d, Module
+from ..training.proxy import reference_matrix
 from .decompose import singular_value_energy
 from .group import split_columns
 
@@ -116,13 +117,6 @@ class RankAllocation:
         return total
 
 
-def _reference_matrix(geometry: ConvGeometry, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(geometry.m, geometry.n))
-    )
-    return rng.normal(0.0, 1.0 / np.sqrt(geometry.n), size=(geometry.m, geometry.n))
-
-
 def _grouped_error_curve(matrix: np.ndarray, groups: int, max_rank: int) -> np.ndarray:
     """Relative error of the grouped rank-k approximation for k = 1 … max_rank.
 
@@ -158,7 +152,7 @@ def layer_sensitivity(
 ) -> LayerSensitivity:
     """Rank → error curve for one layer (from its real weights when available)."""
     effective = _effective_groups(geometry, groups)
-    matrix = weight_matrix if weight_matrix is not None else _reference_matrix(geometry, seed)
+    matrix = weight_matrix if weight_matrix is not None else reference_matrix(geometry, seed)
     if matrix.shape != (geometry.m, geometry.n):
         raise ValueError(
             f"weight matrix shape {matrix.shape} does not match geometry ({geometry.m}, {geometry.n})"

@@ -41,7 +41,7 @@ import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Collection, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .backend import Backend, active_backend
 from .engine.sweep import ShardStats, experiment_registry
@@ -226,7 +226,7 @@ def _worker_main(spec: WorkerSpec) -> WorkerStats:
     board = LeaseBoard(
         store.root, spec.namespace, ttl=spec.lease_ttl, driver=store.driver
     )
-    owner = f"worker-{spec.worker_id}-pid{os.getpid()}"
+    owner = _worker_owner(spec.worker_id, os.getpid())
     stats = WorkerStats(worker_id=spec.worker_id)
     registry = experiment_registry()
 
@@ -414,7 +414,8 @@ def run_cells_parallel(
             # immediate rerun claims those shards instead of stalling a
             # full TTL before it may steal them.
             _expire_abandoned_leases(
-                LeaseBoard(store.root, namespace, ttl=ttl, driver=store.driver)
+                LeaseBoard(store.root, namespace, ttl=ttl, driver=store.driver),
+                {_worker_owner(spec.worker_id, p.pid) for spec, p in zip(specs, processes)},
             )
     board = LeaseBoard(store.root, namespace, ttl=ttl, driver=store.driver)
     undone = board.pending(nshards)
@@ -454,18 +455,29 @@ def _collect_worker_results(
         wait([process.sentinel for process in running], timeout=_POLL_INTERVAL)
 
 
-def _expire_abandoned_leases(board: LeaseBoard) -> int:
+def _worker_owner(worker_id: int, pid: int) -> str:
+    """The lease owner id of one worker process."""
+    return f"worker-{worker_id}-pid{pid}"
+
+
+def _expire_abandoned_leases(board: LeaseBoard, dead_owners: Collection[str]) -> int:
     """Fast-expire every live lease of a namespace whose workers are dead.
 
-    Part of the parent's interrupt teardown: the workers were just
-    terminated, so their leases can only stall a rerun.  Expiry is a nudge,
-    not a revocation — the lease keeps its owner and fence token in place,
-    so a worker that somehow survived simply re-extends it on its next
-    (fenced, still-valid) renewal, while a genuinely dead worker's shard is
-    immediately claimable.  Returns how many leases were expired.
+    Part of the parent's interrupt teardown: the workers (``dead_owners``)
+    were just terminated and joined, so their leases can only stall a rerun.
+    Expiry is a nudge, not a revocation — the lease keeps its owner and
+    fence token in place, so a worker that somehow survived simply
+    re-extends it on its next (fenced, still-valid) renewal, while a
+    genuinely dead worker's shard is immediately claimable.  Returns how
+    many leases were expired.
     """
     expired = 0
-    for shard, _ in board.live_leases():
+    for shard, info in board.live_leases():
+        if info is not None and info.owner in dead_owners and not info.expired(board.clock()):
+            # Renewal and release lock only their own lease, and claimants
+            # back off from a live one: this lock's holder, if any, is the
+            # dead owner killed mid-update, pinning the lease for a TTL.
+            board.driver.release_lock(board.mutex_path(shard))
         if board.expire_lease(shard):
             expired += 1
     return expired

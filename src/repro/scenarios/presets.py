@@ -112,28 +112,19 @@ class HardwareScenario:
         base = base if base is not None else default_peripherals()
         return replace(base, cell=self.cell(base.cell))
 
-    def context(
-        self,
-        array: ArrayDims,
-        seed: int = 0,
-        engine: str = "batched",
-        base_peripherals: Optional[PeripheralSuite] = None,
-        backend=None,
-    ) -> ExecutionContext:
+    def context(self, array: ArrayDims, seed: int = 0) -> ExecutionContext:
         """An execution context configured for this hardware corner.
 
-        ``backend`` selects the execution backend (:mod:`repro.backend`);
-        ``None`` resolves to the active process default.
+        It runs on the batched engine under the active backend
+        (:mod:`repro.backend`).
         """
         return ExecutionContext(
             array=array,
-            peripherals=self.peripherals(base_peripherals),
+            peripherals=self.peripherals(),
             noise=self.noise_model(seed),
             input_bits=self.input_bits,
             output_bits=self.output_bits,
             seed=seed,
-            engine=engine,
-            backend=backend,
         )
 
 

@@ -39,7 +39,10 @@ from ..backend import active_backend, active_precision
 from ..mapping.geometry import ConvGeometry
 from ..workloads import compressible_geometries
 
-__all__ = ["AccuracyProxy", "BASELINE_ACCURACY", "TABLE1_ACCURACY", "PATTERN_ACCURACY", "QUANTIZATION_ACCURACY"]
+__all__ = [
+    "AccuracyProxy", "BASELINE_ACCURACY", "TABLE1_ACCURACY", "PATTERN_ACCURACY", "QUANTIZATION_ACCURACY",
+    "reference_matrix",
+]
 
 
 #: Uncompressed 4-bit QAT baseline accuracies (the orange dotted lines of Fig. 6).
@@ -86,8 +89,14 @@ QUANTIZATION_ACCURACY: Dict[str, Dict[int, float]] = {
 }
 
 
-def _reference_matrix(geometry: ConvGeometry, seed: int) -> np.ndarray:
-    """Deterministic Gaussian im2col weight matrix for one layer."""
+def reference_matrix(geometry: ConvGeometry, seed: int) -> np.ndarray:
+    """Deterministic Gaussian ``(m, n)`` im2col weight matrix for one layer.
+
+    Drawn from ``SeedSequence(entropy=seed, spawn_key=(m, n))`` at scale
+    ``1/√n`` (unit output variance for unit Gaussian inputs).  The proxy
+    calibrates on these matrices and the robustness and layer-families
+    sweeps program them, so measured errors live on the calibration's scale.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(geometry.m, geometry.n)))
     scale = 1.0 / np.sqrt(geometry.n)
     return rng.normal(0.0, scale, size=(geometry.m, geometry.n))
@@ -104,7 +113,7 @@ _ERROR_CACHE: Dict[Tuple[str, str, int, int, int], float] = {}
 _CALIBRATION_CACHE: Dict[Tuple[str, str, int], Tuple[np.ndarray, np.ndarray]] = {}
 #: Each column block's Gram eigenvalues (ascending, clipped at 0) and
 #: ``||W||_F²``, keyed by (precision, seed, m, n, groups).  The key holds no
-#: matrix content: it relies on ``_reference_matrix`` seeding by exactly
+#: matrix content: it relies on ``reference_matrix`` seeding by exactly
 #: (seed, m, n), so equal layer shapes share an entry, across networks too.
 _SPECTRA_CACHE: Dict[Tuple[str, int, int, int, int], Tuple[Tuple[np.ndarray, ...], float]] = {}
 
@@ -134,7 +143,7 @@ class AccuracyProxy:
                 f"unknown network {self.network!r}; expected one of {sorted(BASELINE_ACCURACY)}"
             )
         self._geometries = compressible_geometries(self.network)
-        self._matrices = [_reference_matrix(g, self.seed) for g in self._geometries]
+        self._matrices = [reference_matrix(g, self.seed) for g in self._geometries]
         # Per-instance calibration memo, keyed by execution precision (the
         # same proxy instance may serve sweeps under different backends).
         self._calibration: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}

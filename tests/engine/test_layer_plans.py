@@ -90,7 +90,7 @@ class TestGroupedPlans:
             noise=NoiseModel(conductance_sigma=0.05),
             seed=7,
         )
-        mc = ctx.grouped_conv_monte_carlo_plan(kernel, GROUPED, trials=3)
+        mc = ctx.grouped_conv_plan(kernel, GROUPED, trials=3)
         result = mc.run(inputs)
         for trial in range(3):
             sequential = ctx.trial_context(trial).grouped_conv_plan(kernel, GROUPED)
@@ -127,7 +127,7 @@ class TestAttentionPlans:
         with pytest.raises(ValueError):
             ctx.attention_projection_plan(rng.standard_normal((8, 16)), ATTENTION)
         with pytest.raises(ValueError):
-            ctx.attention_monte_carlo_plan(rng.standard_normal((8, 16)), ATTENTION, trials=2)
+            ctx.attention_projection_plan(rng.standard_normal((8, 16)), ATTENTION, trials=2)
 
     def test_method_names(self, rng, small_array):
         ctx = ExecutionContext(array=small_array)
@@ -148,7 +148,7 @@ class TestAttentionPlans:
             noise=NoiseModel(conductance_sigma=0.05),
             seed=9,
         )
-        result = ctx.attention_monte_carlo_plan(weights, ATTENTION, trials=3).run(inputs)
+        result = ctx.attention_projection_plan(weights, ATTENTION, trials=3).run(inputs)
         for trial in range(3):
             sequential = ctx.trial_context(trial).attention_projection_plan(weights, ATTENTION)
             np.testing.assert_array_equal(result.outputs[trial], sequential.run(inputs).outputs)

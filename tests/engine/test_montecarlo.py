@@ -185,7 +185,7 @@ class TestMonteCarloPlans:
             array=ArrayDims.square(32), noise=NoiseModel.typical(), seed=9
         )
         inputs = rng.standard_normal((6, 64))
-        plan = ctx.lowrank_monte_carlo_plan(weight, rank=8, trials=3, groups=2)
+        plan = ctx.lowrank_plan(weight, rank=8, trials=3, groups=2)
         result = plan.run(inputs)
         assert result.outputs.shape == (3, 6, 32)
         for trial in range(3):
@@ -223,7 +223,7 @@ class TestMonteCarloPlans:
                 assert not np.any(first == second)
         # The plan stages are spaced far beyond their tile counts.
         ctx = ExecutionContext(array=array, noise=noise, seed=0)
-        plan = ctx.lowrank_monte_carlo_plan(
+        plan = ctx.lowrank_plan(
             rng.standard_normal((64, 64)), rank=32, trials=2, groups=1
         )
         stage1, stage2 = plan.stages
@@ -235,7 +235,7 @@ class TestMonteCarloPlans:
     def test_dense_plan_statistics(self, rng):
         weight = rng.standard_normal((24, 48))
         ctx = ExecutionContext(array=ArrayDims.square(32), noise=NoiseModel.typical(), seed=1)
-        result = ctx.dense_monte_carlo_plan(weight, trials=5).run(rng.standard_normal((8, 48)))
+        result = ctx.dense_plan(weight, trials=5).run(rng.standard_normal((8, 48)))
         errors = result.relative_errors
         assert errors.shape == (5,)
         assert result.mean_relative_error == pytest.approx(float(np.mean(errors)))
@@ -248,7 +248,7 @@ class TestMonteCarloPlans:
         weight = rng.standard_normal((24, 48))
         inputs = rng.standard_normal((4, 48))
         ctx = ExecutionContext(array=ArrayDims.square(32), noise=NoiseModel.typical(), seed=6)
-        mc = ctx.dense_monte_carlo_plan(weight, trials=2).run(inputs)
+        mc = ctx.dense_plan(weight, trials=2).run(inputs)
         for trial in range(2):
             sequential = ExecutionContext(
                 array=ArrayDims.square(32),
@@ -256,6 +256,6 @@ class TestMonteCarloPlans:
                 seed=6 + trial * TRIAL_SEED_STRIDE,
             ).dense_plan(weight).run(inputs)
             assert_outputs_match(mc.outputs[trial], sequential.outputs)
-        lowrank = ctx.lowrank_monte_carlo_plan(weight, rank=6, trials=2, groups=2).run(inputs)
+        lowrank = ctx.lowrank_plan(weight, rank=6, trials=2, groups=2).run(inputs)
         assert lowrank.outputs.shape == (2, 4, 24)
         assert lowrank.trials == 2

@@ -23,6 +23,7 @@ from repro.experiments.runner import SUITE_EXPERIMENTS, run_all, suite_to_json
 from repro.parallel import (
     WORKERS_ENV_VAR,
     WorkerStats,
+    _expire_abandoned_leases,
     _scan_order,
     default_shard_count,
     plan_namespace,
@@ -416,6 +417,59 @@ class TestCrashRecovery:
         info = board.read(shard)
         assert info is not None and info.owner == "doomed-worker"
         assert board.claim(shard, "rerun-worker")
+
+    def test_teardown_frees_a_lease_whose_dead_worker_held_its_lock(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker terminated inside a renewal must not pin its shard.
+
+        Regression: the teardown's expiry gave up on the shard's mutation
+        lock, which a dead holder keeps until it is a TTL old, so the lease
+        stayed live and an immediate rerun could neither claim nor renew
+        the shard.
+        """
+        store = ExperimentStore(tmp_path / "store")
+        ttl = 300.0
+        held = []
+
+        def interrupt(processes, results):
+            # Worker 0 leases a shard and dies holding its lock.
+            namespace = next((store.root / "leases").iterdir()).name
+            board = LeaseBoard(store.root, namespace, ttl=ttl)
+            owner = f"worker-0-pid{processes[0].pid}"
+            for shard in range(1, 5):
+                if board.claim(shard, owner):
+                    assert board.driver.acquire_lock(board.mutex_path(shard))
+                    held.append((namespace, shard))
+                    break
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.parallel._collect_worker_results", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_cells_parallel(
+                ["fig7"],
+                {"fig7": {"array_sizes": (32,)}},
+                store,
+                workers=1,
+                nshards=4,
+                lease_ttl=ttl,
+            )
+        assert held, "the interrupt hook must have claimed a shard"
+        namespace, shard = held[0]
+        rerun = LeaseBoard(store.root, namespace, ttl=ttl)
+        assert rerun.claim(shard, "rerun-worker")
+        assert rerun.renew(shard, "rerun-worker")
+
+    def test_teardown_breaks_only_the_locks_of_workers_it_killed(self, tmp_path):
+        board = LeaseBoard(tmp_path / "store", "plan", ttl=300.0)
+        for shard, owner in ((1, "worker-0-pid11"), (2, "worker-1-pid12")):
+            assert board.claim(shard, owner)
+            assert board.driver.acquire_lock(board.mutex_path(shard))
+        # Only worker 0 was joined; worker 1 may be alive in another sweep.
+        assert _expire_abandoned_leases(board, {"worker-0-pid11"}) == 1
+        rerun = LeaseBoard(tmp_path / "store", "plan", ttl=300.0)
+        assert rerun.claim(1, "rerun-worker") and rerun.renew(1, "rerun-worker")
+        assert not rerun.claim(2, "rerun-worker")
 
 
 class TestFailFast:

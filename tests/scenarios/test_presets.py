@@ -105,7 +105,7 @@ class TestScenarioBuilders:
     def test_context_runs_a_plan(self, rng):
         ctx = TYPICAL_RRAM.context(ArrayDims.square(32), seed=1)
         weight = rng.standard_normal((16, 32))
-        result = ctx.dense_monte_carlo_plan(weight, trials=2).run(rng.standard_normal((4, 32)))
+        result = ctx.dense_plan(weight, trials=2).run(rng.standard_normal((4, 32)))
         assert result.outputs.shape == (2, 4, 16)
         assert result.mean_relative_error > 0
 
@@ -116,7 +116,7 @@ class TestScenarioBuilders:
         errors = {}
         for name in ("ideal", "typical_rram", "worst_case_rram"):
             ctx = get_scenario(name).context(ArrayDims.square(32), seed=2)
-            errors[name] = ctx.dense_monte_carlo_plan(weight, trials=3).run(inputs).mean_relative_error
+            errors[name] = ctx.dense_plan(weight, trials=3).run(inputs).mean_relative_error
         assert errors["ideal"] < errors["typical_rram"] < errors["worst_case_rram"]
 
 

@@ -109,3 +109,25 @@ class TestCheckDocs:
         errors = capsys.readouterr().err
         assert "ENGINE.md:2: repro has no option --jobs" in errors
         assert "workloads.md:2" not in errors  # real options pass
+
+    def test_stale_context_member_detected(self, tmp_path, monkeypatch, capsys):
+        """A document naming a missing ExecutionContext method fails the gate."""
+        module = _load_module()
+        names = " ".join(
+            sorted(module.experiment_registry())
+            + list(module.backend_names())
+            + list(module.registered_networks())
+        )
+        (tmp_path / "README.md").write_text(names)
+        (tmp_path / "ENGINE.md").write_text(
+            f"{names}\nbuilt by `ctx.dense_monte_carlo_plan(weight, trials=8)`\n"
+        )
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "workloads.md").write_text(
+            f"{names}\n`ExecutionContext.grouped_conv_plan` on `ctx.array`, see ctx.tiled(\n"
+        )
+        monkeypatch.setattr(module, "REPO_ROOT", tmp_path)
+        assert module.main() == 1
+        errors = capsys.readouterr().err
+        assert "ENGINE.md:2: ExecutionContext has no member named by ctx.dense_monte_carlo_plan" in errors
+        assert "workloads.md:2" not in errors  # real methods and fields pass

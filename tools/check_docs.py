@@ -17,7 +17,11 @@ the documents that promise to list it:
 * every ``--flag`` on a line that runs the CLI (``python -m repro …`` or
   ``repro …``) in those files and the verify skill must be an option of
   ``repro.cli.build_parser()`` or one of its subcommands, so removing a flag
-  cannot leave a documented command that fails.
+  cannot leave a documented command that fails;
+* every ``ExecutionContext.<name>`` and ``ctx.<name>`` in those files and the
+  verify skill must name a method or dataclass field of
+  ``repro.engine.ExecutionContext``, so deleting or renaming a plan method
+  cannot leave a documented call behind.
 
 Run from the repository root (CI does, via the docs-consistency job)::
 
@@ -27,6 +31,7 @@ Run from the repository root (CI does, via the docs-consistency job)::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import re
 import sys
@@ -38,6 +43,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.backend import backend_names  # noqa: E402
 from repro.cli import build_parser  # noqa: E402
+from repro.engine import ExecutionContext  # noqa: E402
 from repro.engine.sweep import experiment_registry  # noqa: E402
 from repro.workloads import registered_networks  # noqa: E402
 import repro.experiments  # noqa: E402,F401  (populates the experiment registry)
@@ -119,6 +125,25 @@ def unknown_cli_flags(document: Path, flags: Set[str]) -> List[Tuple[int, str]]:
     ]
 
 
+#: A member named on the execution context, e.g. ``ExecutionContext.dense_plan`` or ``ctx.tiled(``.
+CONTEXT_MEMBER = re.compile(r"\b(?:ExecutionContext|ctx)\.(?P<name>[A-Za-z_]\w*)")
+
+
+def context_members() -> Set[str]:
+    """Every method, property and dataclass field of ``ExecutionContext``."""
+    return set(dir(ExecutionContext)) | {field.name for field in dataclasses.fields(ExecutionContext)}
+
+
+def unknown_context_members(document: Path, members: Set[str]) -> List[Tuple[int, str]]:
+    """(line number, mention) of every ``ExecutionContext``/``ctx`` member that does not exist."""
+    return [
+        (number, match.group())
+        for number, line in enumerate(document.read_text(encoding="utf-8").splitlines(), start=1)
+        for match in CONTEXT_MEMBER.finditer(line)
+        if match.group("name") not in members
+    ]
+
+
 def main() -> int:
     experiments = tuple(sorted(experiment_registry()))
     backends = tuple(backend_names())
@@ -149,11 +174,14 @@ def main() -> int:
             failures.append(f"{relative}:{number}: {reference} does not resolve")
 
     flags = cli_flags()
+    members = context_members()
     skill = REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
     for document in documents + ([skill] if skill.exists() else []):
         relative = document.relative_to(REPO_ROOT)
         for number, flag in unknown_cli_flags(document, flags):
             failures.append(f"{relative}:{number}: repro has no option {flag}")
+        for number, mention in unknown_context_members(document, members):
+            failures.append(f"{relative}:{number}: ExecutionContext has no member named by {mention}")
 
     if failures:
         print("docs-consistency check FAILED:", file=sys.stderr)
@@ -161,8 +189,9 @@ def main() -> int:
             print(f"  - {failure}", file=sys.stderr)
         print(
             "Document every registered name (or unregister it), point every "
-            "repro.… reference at code that exists and pass repro only options it "
-            "accepts; see docs/workloads.md and ENGINE.md.",
+            "repro.… reference at code that exists, pass repro only options it "
+            "accepts and name only ExecutionContext members that exist; see "
+            "docs/workloads.md and ENGINE.md.",
             file=sys.stderr,
         )
         return 1
@@ -172,7 +201,8 @@ def main() -> int:
         f"{len(experiments)} experiments, {len(backends)} backends, "
         f"{len(networks)} networks all documented; "
         f"repro.… references in {len(documents)} files resolve; "
-        "documented repro invocations use only real options"
+        "documented repro invocations use only real options and "
+        "ExecutionContext members exist"
     )
     return 0
 
