@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.engine.sweep import experiment_registry
 from repro.experiments.runner import SUITE_EXPERIMENTS, run_all, suite_to_json
 from repro.parallel import run_cells_parallel
 from repro.store import ExperimentStore
@@ -38,7 +39,15 @@ def test_bench_parallel_cells_two_workers(benchmark, tmp_path):
         nshards=6,
     )
     assert sum(stat.computed for stat in stats) > 0
+    # Worker 0 runs in this process but writes through its own store handle.
     assert store.puts == 0, "cells are written by the workers, not the parent"
+    for name in SUITE_EXPERIMENTS:
+        shard = experiment_registry()[name].run(
+            store=store, shard=(1, 1), **OVERRIDES.get(name, {})
+        )
+        assert shard.computed == 0 and shard.resumed == shard.total_cells, (
+            f"{name}: every grid cell must be in the store"
+        )
 
 
 @pytest.mark.benchmark(group="parallel")

@@ -42,9 +42,10 @@ precision policy and availability on this host::
     python -m repro backends
 
 ``--workers N`` (or ``$REPRO_WORKERS``) runs any experiment sweep in ``N``
-worker processes: the grid is partitioned into fingerprint-hash store shards,
-workers claim shards through crash-safe leases (work stealing — a shard whose
-worker died is re-claimed after its lease expires), and the report is
+workers: this process computes as worker 0 beside ``N - 1`` spawned worker
+processes.  The grid is partitioned into fingerprint-hash store shards,
+workers claim shards through crash-safe leases (work stealing — this process
+re-claims at once the shards of a worker that was SIGKILLed), and the report is
 assembled from the shared store, byte-identical to a ``--workers 1`` run::
 
     python -m repro --store .repro-store --workers 4 report --json out.json
@@ -236,9 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=_positive_int, default=None, metavar="N",
-        help="run experiment sweeps in N worker processes with store-shard "
-             "work stealing (default: $REPRO_WORKERS, else 1; "
-             "--workers 4 output is byte-identical to --workers 1)",
+        help="run experiment sweeps in N workers, this process and N-1 "
+             "spawned ones, with store-shard work stealing (default: "
+             "$REPRO_WORKERS, else 1; --workers 4 output is byte-identical "
+             "to --workers 1)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 

@@ -158,7 +158,7 @@ def run_shard(
     computes only the cells it owns that the store does not already hold
     (resuming an interrupted shard is therefore free) and persists each as it
     completes.  Nothing is assembled — run :func:`run_all` with the same store
-    afterwards (or ``repro report --store``) to assemble the full suite from
+    afterwards (or ``repro --store DIR report``) to assemble the full suite from
     the materialized cells.
     """
     return _run_suite(

@@ -5,16 +5,19 @@ a single process; :mod:`repro.parallel` scales it across worker *processes*.
 The design composes three existing mechanisms instead of inventing a new
 execution path:
 
-* the grid is partitioned into ``N`` **fingerprint-hash shards** — the same
-  pure-function ownership ``repro report --shard K/N`` uses, so a shard's
-  cell set is identical no matter which process computes it;
-* workers **claim shards dynamically** through the crash-safe lease protocol
-  of :mod:`repro.store.leases` (work stealing: a fast worker drains the queue,
-  a shard whose worker died is re-claimed after its lease expires), and every
-  computed cell is persisted through the content-addressed
-  :class:`~repro.store.ExperimentStore` — cells already present are skipped,
-  so warm or partially-warm runs only compute the delta;
-* the parent **assembles** the finished grid through the ordinary warm-store
+* the grid is partitioned into ``4 x N`` **fingerprint-hash shards** — the
+  same pure-function ownership ``repro report --shard K/N`` uses, so a
+  shard's cell set is identical no matter which process computes it;
+* ``N`` workers **claim shards dynamically** through the crash-safe lease
+  protocol of :mod:`repro.store.leases` (work stealing: a fast worker drains
+  the queue), and every computed cell is persisted through the
+  content-addressed :class:`~repro.store.ExperimentStore` — cells already
+  present are skipped, so warm or partially-warm runs only compute the delta.
+  The calling process is worker 0 and spawns the other ``N - 1``; a spawned
+  worker leaves as soon as no shard is claimable, while the caller stays
+  until every shard is done, re-claiming the shard of a SIGKILLed worker
+  as soon as it sees the worker gone, not after the lease TTL;
+* the caller **assembles** the finished grid through the ordinary warm-store
   path, which is byte-identical to a cold serial run by the store's headline
   contract — therefore ``--workers 4`` output is byte-identical to
   ``--workers 1`` under every registered backend.
@@ -37,11 +40,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 import shutil
+import signal
 import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Collection, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Collection, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .backend import Backend, active_backend
 from .engine.sweep import ShardStats, experiment_registry
@@ -79,8 +83,8 @@ WORKERS_ENV_VAR = "REPRO_WORKERS"
 #: the other workers idle for long.
 DEFAULT_SHARDS_PER_WORKER = 4
 
-#: How long an idle worker sleeps between scans for claimable shards (and the
-#: waiting parent at most between checks for a failed worker).
+#: How long the caller, with no shard claimable, waits at most between scans
+#: (it wakes early when a spawned worker exits).
 _POLL_INTERVAL = 0.1
 
 
@@ -171,6 +175,9 @@ class WorkerSpec:
     overrides: Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...]
     backend: Optional[str] = None
     driver: Optional[str] = None
+    #: A token of the run, shared by its workers: server jobs run on threads
+    #: of one process, so a pid alone does not tell two runs' worker 0 apart.
+    run: str = ""
 
     def experiment_overrides(self, name: str) -> Dict[str, Any]:
         for experiment, items in self.overrides:
@@ -178,10 +185,14 @@ class WorkerSpec:
                 return dict(items)
         return {}
 
+    def owner(self, pid: int) -> str:
+        """The lease owner id of this worker when it runs as process ``pid``."""
+        return f"worker-{self.worker_id}-pid{pid}-{self.run}"
+
 
 @dataclass
 class WorkerStats:
-    """What one worker process did (returned to the parent)."""
+    """What one worker did (worker 0 is the calling process)."""
 
     worker_id: int
     shards: List[int] = field(default_factory=list)
@@ -210,13 +221,20 @@ def _scan_order(nshards: int, worker_id: int) -> List[int]:
     return order[offset:] + order[:offset]
 
 
-def _worker_main(spec: WorkerSpec) -> WorkerStats:
-    """One worker process: claim shards, compute their cells, mark them done.
+def _worker_main(
+    spec: WorkerSpec, wait: Optional[Callable[[bool], None]] = None
+) -> WorkerStats:
+    """One worker: claim shards, compute their cells, mark them done.
 
     Top-level by necessity — the ``spawn`` start method pickles the function
     reference and the spec, nothing else.  The worker re-imports
     :mod:`repro.experiments` (self-registration repopulates the registry in
     the fresh interpreter) and resolves its backend from the spec.
+
+    A spawned worker (``wait`` is None) leaves as soon as no shard is
+    claimable.  The calling process runs worker 0 with ``wait``, its watch
+    over the spawned workers: called with False between experiments and with
+    True whenever no shard is claimable, it stays until every shard is done.
     """
     import repro.experiments  # noqa: F401  (registry population, required under spawn)
 
@@ -226,7 +244,7 @@ def _worker_main(spec: WorkerSpec) -> WorkerStats:
     board = LeaseBoard(
         store.root, spec.namespace, ttl=spec.lease_ttl, driver=store.driver
     )
-    owner = _worker_owner(spec.worker_id, os.getpid())
+    owner = spec.owner(os.getpid())
     stats = WorkerStats(worker_id=spec.worker_id)
     registry = experiment_registry()
 
@@ -256,10 +274,10 @@ def _worker_main(spec: WorkerSpec) -> WorkerStats:
                         stats.stolen += 1
                     break
             if claimed is None:
-                if board.all_done(spec.nshards):
+                if wait is None or board.all_done(spec.nshards):
                     break
                 beat()  # idle, but alive: keep the liveness record fresh
-                time.sleep(_POLL_INTERVAL)
+                wait(True)
                 continue
             beat()
             abandoned = False
@@ -272,9 +290,8 @@ def _worker_main(spec: WorkerSpec) -> WorkerStats:
                     )
                 except Exception:
                     # A raising cell fails the same way on every retry:
-                    # hand the shard back and let the parent report the
-                    # error now, instead of siblings stealing the shard
-                    # after the lease TTL only to fail again.
+                    # hand the shard back and fail the run now, instead of
+                    # another worker claiming the shard only to fail again.
                     board.release(claimed, owner)
                     raise
                 if isinstance(result, ShardStats):
@@ -292,6 +309,8 @@ def _worker_main(spec: WorkerSpec) -> WorkerStats:
                     abandoned = True
                     break
                 beat()
+                if wait is not None:
+                    wait(False)
             if not abandoned:
                 board.mark_done(claimed, owner)
                 stats.shards.append(claimed)
@@ -300,12 +319,17 @@ def _worker_main(spec: WorkerSpec) -> WorkerStats:
     return stats
 
 
+def _failure(worker_id: int) -> str:
+    """The worker and traceback of the exception being handled, as the run reports them."""
+    return f"worker {worker_id} (pid {os.getpid()}):\n{traceback.format_exc()}"
+
+
 def _worker_entry(spec: WorkerSpec, results: "multiprocessing.SimpleQueue") -> None:
     """Send the parent this worker's stats, or its formatted traceback."""
     try:
         outcome: Union[WorkerStats, str] = _worker_main(spec)
     except Exception:
-        outcome = f"worker {spec.worker_id} (pid {os.getpid()}):\n{traceback.format_exc()}"
+        outcome = _failure(spec.worker_id)
     results.put(outcome)
 
 
@@ -338,18 +362,25 @@ def run_cells_parallel(
     backend: Union[str, Backend, None] = None,
     lease_ttl: Optional[float] = None,
 ) -> List[WorkerStats]:
-    """Compute every grid cell of the named experiments with worker processes.
+    """Compute every grid cell of the named experiments with ``workers`` workers.
 
-    Nothing is assembled — the cells land in ``store`` (the warm-assembly
-    pass afterwards is what :func:`run_experiments_parallel` adds).  The run
-    succeeds when **every shard carries a completion marker**, not when every
-    worker survives: a worker killed mid-shard merely forfeits its lease, and
-    a surviving sibling re-claims the shard after the TTL and recomputes only
-    the cells the store does not already hold.  When shards remain undone
-    (e.g. every worker died) this raises — and a rerun resumes from the done
-    markers and the materialized cells.  A cell that *raises* in a worker
-    fails the run at once instead, with that worker's traceback, and the
-    other workers are stopped.
+    The calling process is worker 0: it spawns ``workers - 1`` processes and
+    computes shards alongside them.  Nothing is assembled — the cells land in
+    ``store`` (the warm-assembly pass afterwards is what
+    :func:`run_experiments_parallel` adds).  The run succeeds when **every
+    shard carries a completion marker**, not when every worker survives: a
+    spawned worker SIGKILLed mid-shard (the OOM killer, ``kill -9``) merely
+    forfeits its lease, which the caller expires once it sees the worker
+    gone, then re-claims the shard and recomputes only the cells the store
+    does not already hold.  A cell that *raises*, in any worker, fails the
+    run instead, with that worker's traceback, and so does a spawned worker
+    that dies any other way (Ctrl-C reaches the spawned workers but not a
+    server job's thread); the spawned workers are then stopped.
+
+    The caller looks at its spawned workers between the experiments of a
+    shard and whenever it is idle, so a spawned worker's failure fails the
+    run within one shard-experiment of the caller's (one experiment's cells
+    of one shard), while the other workers go on computing until then.
     """
     workers = resolve_workers(workers)
     nshards = nshards if nshards is not None else default_shard_count(workers)
@@ -358,11 +389,11 @@ def run_cells_parallel(
     ttl = resolve_lease_ttl(lease_ttl)
     backend_name = _pinned_backend_name(backend)
     namespace = plan_namespace(names, overrides, nshards, backend_name)
+    board = LeaseBoard(store.root, namespace, ttl=ttl, driver=store.driver)
     # Publish the plan manifest before spawning so `repro workers status`
     # can tell an operator what this namespace is running and how far the
     # done markers have progressed.
-    plan_board = LeaseBoard(store.root, namespace, ttl=ttl, driver=store.driver)
-    plan_board.write_plan(
+    board.write_plan(
         {
             "names": list(names),
             "nshards": nshards,
@@ -373,6 +404,7 @@ def run_cells_parallel(
             "started": time.time(),
         }
     )
+    run = os.urandom(4).hex()
     specs = [
         WorkerSpec(
             worker_id=worker_id,
@@ -384,96 +416,161 @@ def run_cells_parallel(
             overrides=_freeze_overrides(names, overrides),
             backend=backend_name,
             driver=store.driver.name,
+            run=run,
         )
         for worker_id in range(workers)
     ]
-    context = multiprocessing.get_context("spawn")
-    results: "multiprocessing.SimpleQueue" = context.SimpleQueue()
-    processes = [
-        context.Process(target=_worker_entry, args=(spec, results), daemon=False)
-        for spec in specs
-    ]
-    for process in processes:
-        process.start()
-    collected: List[WorkerStats] = []
+    spawned = _SpawnedWorkers(specs[1:], board)
     interrupted = False
     try:
-        collected = _collect_worker_results(processes, results)
+        spawned.start()
+        try:
+            own = _worker_main(specs[0], spawned.wait)
+        except _WorkerFailed:
+            raise
+        except Exception:
+            raise RuntimeError(f"parallel sweep failed in {_failure(0)}") from None
+        spawned.join()
     except BaseException:
-        # A failed worker, Ctrl-C (or any parent-side failure) is about to
+        # A failed worker, Ctrl-C (or any other failure here) is about to
         # terminate workers that never got to release their leases.
         interrupted = True
         raise
     finally:
-        for process in processes:
+        spawned.stop()
+        if interrupted:
+            # Fast-expire whatever this process and the terminated workers
+            # still held, so an immediate rerun claims those shards instead
+            # of stalling a full TTL before it may steal them.
+            _expire_abandoned_leases(
+                board, {specs[0].owner(os.getpid()), *map(spawned.owner, spawned.processes)}
+            )
+    board.purge()
+    return sorted([own, *spawned.stats.values()], key=lambda stats: stats.worker_id)
+
+
+class _WorkerFailed(RuntimeError):
+    """A spawned worker failed: a cell raised, or it died without a SIGKILL."""
+
+
+class _SpawnedWorkers:
+    """The processes a parallel run spawns, as worker 0 watches them."""
+
+    def __init__(self, specs: Sequence[WorkerSpec], board: LeaseBoard) -> None:
+        self.specs = {spec.worker_id: spec for spec in specs}
+        self.board = board
+        self.processes: Dict[int, "multiprocessing.Process"] = {}
+        self.stats: Dict[int, WorkerStats] = {}
+        #: Workers SIGKILLed, their leases already expired.
+        self.killed: Set[int] = set()
+
+    def start(self) -> None:
+        if not self.specs:
+            return
+        context = multiprocessing.get_context("spawn")
+        self.results: "multiprocessing.SimpleQueue" = context.SimpleQueue()
+        for worker_id, spec in self.specs.items():
+            process = context.Process(
+                target=_worker_entry, args=(spec, self.results), daemon=False
+            )
+            process.start()
+            self.processes[worker_id] = process
+
+    def owner(self, worker_id: int) -> str:
+        return self.specs[worker_id].owner(self.processes[worker_id].pid)
+
+    def wait(self, idle: bool) -> None:
+        """Worker 0's wait: poll between experiments, block while idle.
+
+        Idle, it blocks until a spawned worker exits or the poll interval
+        passes.  Either way it raises a worker's traceback.  A worker that
+        exited without sending stats or traceback was SIGKILLed, or died of
+        something else, such as a Ctrl-C.  A SIGKILL comes from outside (the
+        OOM killer, ``kill -9``), so the worker's leases are expired (it has
+        exited, so breaking its locks is safe) and its shard is claimable at
+        once, not after the lease TTL.  Any other silent exit fails the run.
+        """
+        if not self.processes:
+            if idle:
+                time.sleep(_POLL_INTERVAL)
+            return
+        silent = _collect_worker_results(
+            self.processes, self.results, self.stats, _POLL_INTERVAL if idle else 0.0
+        )
+        for worker_id in sorted(set(silent) - self.killed):
+            process = self.processes[worker_id]
+            if process.exitcode != -signal.SIGKILL:
+                raise _WorkerFailed(
+                    f"parallel sweep incomplete: worker {worker_id} (pid {process.pid}) "
+                    f"exited with code {process.exitcode} before finishing; rerunning "
+                    "resumes from the completion markers and the materialized cells"
+                )
+            self.killed.add(worker_id)
+            _expire_abandoned_leases(self.board, {self.owner(worker_id)})
+
+    def join(self) -> None:
+        """Wait for every spawned worker to exit, then gather the last stats."""
+        while any(process.exitcode is None for process in self.processes.values()):
+            self.wait(True)
+        self.wait(False)
+
+    def stop(self) -> None:
+        """Terminate the workers still running and join every one."""
+        for process in self.processes.values():
             if process.is_alive():
                 process.terminate()
-                process.join()
-        if interrupted:
-            # Fast-expire whatever the terminated workers still held, so an
-            # immediate rerun claims those shards instead of stalling a
-            # full TTL before it may steal them.
-            _expire_abandoned_leases(
-                LeaseBoard(store.root, namespace, ttl=ttl, driver=store.driver),
-                {_worker_owner(spec.worker_id, p.pid) for spec, p in zip(specs, processes)},
-            )
-    board = LeaseBoard(store.root, namespace, ttl=ttl, driver=store.driver)
-    undone = board.pending(nshards)
-    if undone:
-        exit_codes = {p.pid: p.exitcode for p in processes}
-        raise RuntimeError(
-            f"parallel sweep incomplete: shards {undone} of {nshards} never "
-            f"completed (worker exit codes {exit_codes}); rerunning resumes "
-            "from the completion markers and the materialized cells"
-        )
-    board.purge()
-    return sorted(collected, key=lambda stats: stats.worker_id)
+            process.join()
 
 
 def _collect_worker_results(
-    processes: Sequence["multiprocessing.Process"],
+    processes: Mapping[int, "multiprocessing.Process"],
     results: "multiprocessing.SimpleQueue",
-) -> List[WorkerStats]:
-    """Drain the workers' stats until every worker has exited.
+    collected: Dict[int, WorkerStats],
+    timeout: float,
+) -> List[int]:
+    """Wait up to ``timeout`` for a worker to exit; gather what the workers sent.
 
-    A worker whose shard raised sends its formatted traceback instead, and
-    the first one is raised here at once.  Module-level for tests: the
-    interrupt-teardown battery injects a KeyboardInterrupt here.
+    Each worker sends its stats, kept in ``collected`` by worker id, or, when
+    a cell raised, its formatted traceback, which is raised here at once.
+    Returns the ids of the workers that exited without sending either.
+    Module-level for tests: the interrupt-teardown battery injects a
+    KeyboardInterrupt here.
     """
     from multiprocessing.connection import wait  # only parallel runs pay its import
 
-    collected: List[WorkerStats] = []
-    while True:
-        running = [process for process in processes if process.is_alive()]
-        while not results.empty():
-            outcome = results.get()
-            if isinstance(outcome, str):
-                raise RuntimeError(f"parallel sweep failed in {outcome}")
-            collected.append(outcome)
-        if not running:
-            return collected
-        wait([process.sentinel for process in running], timeout=_POLL_INTERVAL)
-
-
-def _worker_owner(worker_id: int, pid: int) -> str:
-    """The lease owner id of one worker process."""
-    return f"worker-{worker_id}-pid{pid}"
+    running = [process.sentinel for process in processes.values() if process.exitcode is None]
+    if running and timeout > 0:
+        wait(running, timeout=timeout)
+    elif timeout > 0:
+        time.sleep(timeout)
+    # Who has exited is read before the queue: an exited worker's message is
+    # already in the pipe, so a worker missing from the drain sent none.
+    exited = [worker_id for worker_id, process in processes.items() if process.exitcode is not None]
+    while not results.empty():
+        outcome = results.get()
+        if isinstance(outcome, str):
+            raise _WorkerFailed(f"parallel sweep failed in {outcome}")
+        collected[outcome.worker_id] = outcome
+    return [worker_id for worker_id in exited if worker_id not in collected]
 
 
 def _expire_abandoned_leases(board: LeaseBoard, dead_owners: Collection[str]) -> int:
-    """Fast-expire every live lease of a namespace whose workers are dead.
+    """Fast-expire every live lease of a namespace held by a dead owner.
 
-    Part of the parent's interrupt teardown: the workers (``dead_owners``)
-    were just terminated and joined, so their leases can only stall a rerun.
-    Expiry is a nudge, not a revocation — the lease keeps its owner and
-    fence token in place, so a worker that somehow survived simply
-    re-extends it on its next (fenced, still-valid) renewal, while a
-    genuinely dead worker's shard is immediately claimable.  Returns how
-    many leases were expired.
+    The owners (``dead_owners``) are workers that were terminated or killed
+    and then joined, or the calling process after its own worker loop ended,
+    so their leases can only stall the shards.  Expiry is a nudge, not a
+    revocation — the lease keeps its owner and fence token in place, so a
+    worker that somehow survived simply re-extends it on its next (fenced,
+    still-valid) renewal, while a genuinely dead worker's shard is
+    immediately claimable.  Leases of other owners are left alone.  Returns
+    how many leases were expired.
     """
     expired = 0
     for shard, info in board.live_leases():
-        if info is not None and info.owner in dead_owners and not info.expired(board.clock()):
+        if info is None or info.owner not in dead_owners:
+            continue
+        if not info.expired(board.clock()):
             # Renewal and release lock only their own lease, and claimants
             # back off from a live one: this lock's holder, if any, is the
             # dead owner killed mid-update, pinning the lease for a TTL.

@@ -15,11 +15,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.kernels import im2col_columns
 from repro.imc.peripherals import CellSpec, PeripheralSuite
 from repro.imc.noise import NoiseModel
-from repro.mapping.geometry import (
-    ArrayDims,
-    AttentionProjectionGeometry,
-    GroupedConvGeometry,
-)
+from repro.mapping.geometry import AttentionProjectionGeometry, GroupedConvGeometry
 from repro.mapping.grouped import expand_grouped_kernel, tiles_for_grouped_conv
 
 from .precision_helpers import assert_outputs_match

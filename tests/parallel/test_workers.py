@@ -3,16 +3,19 @@
 The headline contract: ``--workers N`` produces output byte-identical to
 ``--workers 1`` (the workers only *compute cells into the store*; assembly is
 the ordinary warm path), resumes for free from a partially-warm store, and
-survives worker death through lease expiry + work stealing.
+survives worker death: the calling process, worker 0, expires a killed
+worker's leases and re-claims its shards.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -51,6 +54,31 @@ class PoisonedEnergyModel(EnergyModel):
         if array.rows == 64:
             raise ValueError("poisoned cell: 64x64 array")
         return super().im2col_energy(geometry, array)
+
+
+class KillingEnergyModel(EnergyModel):
+    """SIGKILLs a spawned worker at its first cell; stalls worker 0 until then.
+
+    Worker 0 (the calling process) holds its shard while it waits, so the
+    spawned worker is sure to claim another shard before it dies.
+    Module-level so spawned workers can unpickle it from the run's overrides.
+    """
+
+    signum = signal.SIGKILL
+
+    def im2col_energy(self, geometry, array):
+        if multiprocessing.parent_process() is not None:
+            os.kill(os.getpid(), self.signum)
+        deadline = time.monotonic() + 60.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        return super().im2col_energy(geometry, array)
+
+
+class InterruptedEnergyModel(KillingEnergyModel):
+    """Sends a spawned worker a Ctrl-C's SIGINT at its first cell instead."""
+
+    signum = signal.SIGINT
 
 
 class TestResolveWorkers:
@@ -301,11 +329,10 @@ class TestCrashRecovery:
     def test_killed_worker_run_recovers_end_to_end(self, tmp_path):
         """SIGKILL one worker of a live CLI run; the report must still emerge.
 
-        Either the surviving worker steals the dead worker's shards after the
-        (shortened) lease TTL and the first invocation completes, or the
-        first invocation fails and the rerun resumes from the completion
-        markers + store — both paths must end in a report byte-identical to
-        the serial reference.
+        The calling process re-claims the dead worker's shards as soon as it
+        sees the worker gone; should the first invocation fail anyway, the
+        rerun resumes from the completion markers + store — both paths must
+        end in a report byte-identical to the serial reference.
         """
         repo_root = Path(__file__).resolve().parents[2]
         env = {
@@ -372,25 +399,108 @@ class TestCrashRecovery:
             time.sleep(0.05)
         return None
 
+    def test_killed_worker_shard_is_reclaimed_without_waiting_out_the_ttl(
+        self, tmp_path, monkeypatch
+    ):
+        """A SIGKILLed worker's shard must not wait for its lease to expire.
+
+        Regression: the dead worker's lease pinned its shard for the full TTL
+        before a sibling could steal it, and with no sibling left the run
+        failed as incomplete.  Worker 0 now sees the worker exit without a
+        word, expires its leases and re-claims the shard itself.
+        """
+        monkeypatch.setattr(LeaseBoard, "purge", lambda self: None)
+        store = ExperimentStore(tmp_path / "store")
+        started = time.monotonic()
+        stats = run_cells_parallel(
+            ["fig7"],
+            {"fig7": {"array_sizes": (32, 64, 128), "model": KillingEnergyModel()}},
+            store,
+            workers=2,
+            lease_ttl=300.0,
+        )
+        assert time.monotonic() - started < 60.0, "the lease TTL was waited out"
+        assert [stat.worker_id for stat in stats] == [0], "the killed worker sent nothing"
+        assert stats[0].stolen >= 1
+        namespace = next((store.root / "leases").iterdir()).name
+        assert LeaseBoard(store.root, namespace).pending(default_shard_count(2)) == []
+
+    def test_an_interrupted_worker_fails_a_run_on_a_thread_at_once(self, tmp_path):
+        """Ctrl-C stops the spawned workers, not a job thread's worker 0.
+
+        Regression: worker 0 took every worker that exited without a word
+        for a killed one and re-claimed its shards, so a server job, whose
+        thread no KeyboardInterrupt reaches, went on computing alone after
+        Ctrl-C.  Only a SIGKILL hands the shards over; any other silent exit
+        fails the run.
+        """
+        store = ExperimentStore(tmp_path / "store")
+        outcome = []
+
+        def job():
+            try:
+                run_cells_parallel(
+                    ["fig7"],
+                    {"fig7": {"array_sizes": (32, 64, 128), "model": InterruptedEnergyModel()}},
+                    store,
+                    workers=2,
+                    lease_ttl=300.0,
+                )
+            except RuntimeError as error:
+                outcome.append(str(error))
+            else:
+                outcome.append(None)
+
+        started = time.monotonic()
+        thread = threading.Thread(target=job)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive() and time.monotonic() - started < 15.0
+        [message] = outcome
+        assert message is not None, "worker 0 computed the interrupted worker's shards"
+        assert message.startswith("parallel sweep incomplete: worker 1 (pid ")
+        assert "exited with code 1 before finishing" in message
+        now = time.time()
+        for namespace in (store.root / "leases").iterdir():
+            for _, info in LeaseBoard(store.root, namespace.name).live_leases():
+                assert info is None or info.expired(now)
+
+    @staticmethod
+    def _owners(store, processes):
+        """The lease board and the owner ids of worker 0 and spawned worker 1."""
+        namespace = next((store.root / "leases").iterdir()).name
+        board = LeaseBoard(store.root, namespace, ttl=300.0)
+        parent = next(
+            beat.owner for beat in board.heartbeats() if beat.info["pid"] == os.getpid()
+        )
+        run = parent.rsplit("-", 1)[1]
+        return board, parent, f"worker-1-pid{processes[1].pid}-{run}"
+
     def test_interrupt_teardown_expires_abandoned_leases(self, tmp_path, monkeypatch):
         """Ctrl-C in the parent must not leave live leases stalling a rerun.
 
         Regression: the parent terminated its workers on KeyboardInterrupt
         without touching their leases, so an immediate rerun had to sit out
         up to a full TTL before it could steal the orphaned shards.  The
-        teardown now fast-expires whatever the dead workers held.
+        teardown now fast-expires whatever the parent, worker 0, and its
+        dead workers held.
         """
         store = ExperimentStore(tmp_path / "store")
         ttl = 300.0
         held = []
 
-        def interrupt(processes, results):
-            # What a worker holds at the moment the operator hits Ctrl-C.
-            namespace = next((store.root / "leases").iterdir()).name
-            board = LeaseBoard(store.root, namespace, ttl=ttl)
+        def interrupt(processes, results, collected, timeout):
+            # The operator hits Ctrl-C while worker 0 is mid-shard and its
+            # spawned worker holds a shard of its own.
+            board, parent, child = self._owners(store, processes)
+            held.extend(
+                (shard, parent)
+                for shard, info in board.live_leases()
+                if info is not None and info.owner == parent
+            )
             for shard in range(1, 5):
-                if board.claim(shard, "doomed-worker"):
-                    held.append((namespace, shard))
+                if board.claim(shard, child):
+                    held.append((shard, child))
                     break
             raise KeyboardInterrupt
 
@@ -400,12 +510,14 @@ class TestCrashRecovery:
                 ["fig7"],
                 {"fig7": {"array_sizes": (32,)}},
                 store,
-                workers=1,
+                workers=2,
                 nshards=4,
                 lease_ttl=ttl,
             )
-        assert held, "the interrupt hook must have claimed a shard"
-        namespace, shard = held[0]
+        assert {owner.split("-")[1] for _, owner in held} == {"0", "1"}, (
+            "worker 0 and its spawned worker must each have held a shard"
+        )
+        namespace = next((store.root / "leases").iterdir()).name
         board = LeaseBoard(store.root, namespace, ttl=ttl)
         now = time.time()
         for _, info in board.live_leases():
@@ -413,10 +525,11 @@ class TestCrashRecovery:
                 "no lease may outlive the interrupt teardown"
             )
         # The owner and token survive expiry (fencing still applies), but a
-        # rerun's worker claims the shard immediately instead of stalling.
-        info = board.read(shard)
-        assert info is not None and info.owner == "doomed-worker"
-        assert board.claim(shard, "rerun-worker")
+        # rerun's worker claims the shards immediately instead of stalling.
+        for shard, owner in held:
+            info = board.read(shard)
+            assert info is not None and info.owner == owner
+            assert board.claim(shard, "rerun-worker")
 
     def test_teardown_frees_a_lease_whose_dead_worker_held_its_lock(
         self, tmp_path, monkeypatch
@@ -432,15 +545,13 @@ class TestCrashRecovery:
         ttl = 300.0
         held = []
 
-        def interrupt(processes, results):
-            # Worker 0 leases a shard and dies holding its lock.
-            namespace = next((store.root / "leases").iterdir()).name
-            board = LeaseBoard(store.root, namespace, ttl=ttl)
-            owner = f"worker-0-pid{processes[0].pid}"
+        def interrupt(processes, results, collected, timeout):
+            # Spawned worker 1 leases a shard and dies holding its lock.
+            board, _, child = self._owners(store, processes)
             for shard in range(1, 5):
-                if board.claim(shard, owner):
+                if board.claim(shard, child):
                     assert board.driver.acquire_lock(board.mutex_path(shard))
-                    held.append((namespace, shard))
+                    held.append((board.namespace, shard))
                     break
             raise KeyboardInterrupt
 
@@ -450,7 +561,7 @@ class TestCrashRecovery:
                 ["fig7"],
                 {"fig7": {"array_sizes": (32,)}},
                 store,
-                workers=1,
+                workers=2,
                 nshards=4,
                 lease_ttl=ttl,
             )
@@ -506,6 +617,36 @@ class TestFailFast:
             for _, info in LeaseBoard(store.root, namespace.name).live_leases():
                 assert info is None or info.expired(now)
 
+    def test_raising_cell_in_worker_0_fails_like_a_spawned_worker(self, tmp_path):
+        """The calling process computes cells too, and fails the same way.
+
+        With one shard, worker 0 (the calling process) claims it before the
+        spawned worker is up, so the poisoned cell raises in the caller.
+        """
+        store = ExperimentStore(tmp_path / "store")
+        started = time.monotonic()
+        with pytest.raises(RuntimeError) as failure:
+            run_cells_parallel(
+                ["fig7"],
+                {"fig7": {
+                    "networks": ("resnet20",),
+                    "array_sizes": (32, 64, 128),
+                    "model": PoisonedEnergyModel(),
+                }},
+                store,
+                workers=2,
+                nshards=1,
+            )
+        assert time.monotonic() - started < 15.0
+        message = str(failure.value)
+        assert message.startswith(f"parallel sweep failed in worker 0 (pid {os.getpid()}):\n")
+        assert "ValueError: poisoned cell: 64x64 array" in message
+        assert "rerunning resumes" not in message
+        now = time.time()
+        for namespace in (store.root / "leases").iterdir():
+            for _, info in LeaseBoard(store.root, namespace.name).live_leases():
+                assert info is None or info.expired(now)
+
 
 class TestObservability:
     """Heartbeats, the plan manifest, and the workers-status view."""
@@ -539,6 +680,36 @@ class TestObservability:
         assert "4/4 shards done" in text
         assert "worker-0" in text and "worker-1" in text
         assert sum(stat.computed for stat in stats) > 0
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_caller_is_worker_0_and_spawns_the_rest(self, workers, tmp_path, monkeypatch):
+        """``--workers N`` starts N - 1 processes; the caller computes as worker 0."""
+        from multiprocessing.context import SpawnProcess
+
+        from repro.parallel import collect_workers_status
+
+        spawned = []
+        start = SpawnProcess.start
+
+        def counting_start(process):
+            spawned.append(process)
+            start(process)
+
+        monkeypatch.setattr(SpawnProcess, "start", counting_start)
+        monkeypatch.setattr(LeaseBoard, "purge", lambda self: None)
+        store = ExperimentStore(tmp_path / "store")
+        stats = run_cells_parallel(
+            ["fig7"], {"fig7": {"array_sizes": (32,)}}, store, workers=workers, nshards=4
+        )
+        assert len(spawned) == workers - 1
+        assert [stat.worker_id for stat in stats] == list(range(workers))
+        pids = [os.getpid(), *(process.pid for process in spawned)]
+        beats = {
+            beat.info["worker_id"]: beat.info["pid"]
+            for status in collect_workers_status(store)
+            for beat in status.heartbeats
+        }
+        assert beats == dict(enumerate(pids))
 
     def test_worker_stats_carry_race_accounting(self):
         stats = WorkerStats(worker_id=0, shards=[1], computed=2)

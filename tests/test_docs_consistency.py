@@ -110,6 +110,26 @@ class TestCheckDocs:
         assert "ENGINE.md:2: repro has no option --jobs" in errors
         assert "workloads.md:2" not in errors  # real options pass
 
+    def test_cli_flag_is_judged_by_its_position(self, tmp_path, monkeypatch, capsys):
+        """A global option after the subcommand fails the gate, as it fails the CLI."""
+        module = _load_module()
+        names = " ".join(
+            sorted(module.experiment_registry())
+            + list(module.backend_names())
+            + list(module.registered_networks())
+        )
+        (tmp_path / "README.md").write_text(names)
+        (tmp_path / "ENGINE.md").write_text(f"{names}\n    python -m repro report --output x\n")
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "workloads.md").write_text(
+            f"{names}\nrun `repro --output x report` or `repro --store report report --workers 2`\n"
+        )
+        monkeypatch.setattr(module, "REPO_ROOT", tmp_path)
+        assert module.main() == 1
+        errors = capsys.readouterr().err
+        assert "ENGINE.md:2: repro has no option --output" in errors
+        assert "workloads.md:2" not in errors  # each option where its parser takes it
+
     def test_stale_context_member_detected(self, tmp_path, monkeypatch, capsys):
         """A document naming a missing ExecutionContext method fails the gate."""
         module = _load_module()

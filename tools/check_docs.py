@@ -15,9 +15,11 @@ the documents that promise to list it:
   the package sources must name an importable module or an attribute of one,
   so deleting or renaming code cannot leave a stale path behind;
 * every ``--flag`` on a line that runs the CLI (``python -m repro …`` or
-  ``repro …``) in those files and the verify skill must be an option of
-  ``repro.cli.build_parser()`` or one of its subcommands, so removing a flag
-  cannot leave a documented command that fails;
+  ``repro …``) in those files and the verify skill must be an option of the
+  parser it reaches: before the subcommand an option of
+  ``repro.cli.build_parser()``, after it an option of that subcommand.  So
+  removing a flag, or writing a global option after the subcommand, cannot
+  leave a documented command that fails;
 * every ``ExecutionContext.<name>`` and ``ctx.<name>`` in those files and the
   verify skill must name a method or dataclass field of
   ``repro.engine.ExecutionContext``, so deleting or renaming a plan method
@@ -36,7 +38,7 @@ import importlib
 import re
 import sys
 from pathlib import Path
-from typing import List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -102,27 +104,42 @@ INVOCATION = re.compile(r"(?<![\w.-])repro\s+(?P<args>[^`#|;&)\"']*)")
 FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
 
 
-def cli_flags() -> Set[str]:
-    """Every long option of ``repro.cli.build_parser()`` and its subcommands."""
-    flags: Set[str] = set()
-    parsers = [build_parser()]
-    while parsers:
-        for action in parsers.pop()._actions:
-            flags.update(option for option in action.option_strings if option.startswith("--"))
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-    return flags
+def _grammar(
+    parser: argparse.ArgumentParser,
+) -> Tuple[Dict[str, argparse.Action], Dict[str, argparse.ArgumentParser]]:
+    """A parser's long options and its subcommands, by name."""
+    options: Dict[str, argparse.Action] = {}
+    commands: Dict[str, argparse.ArgumentParser] = {}
+    for action in parser._actions:
+        options.update((option, action) for option in action.option_strings if option.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            commands.update(action.choices)
+    return options, commands
 
 
-def unknown_cli_flags(document: Path, flags: Set[str]) -> List[Tuple[int, str]]:
-    """(line number, flag) of every option a ``repro`` invocation passes that the CLI lacks."""
-    return [
-        (number, flag)
-        for number, line in enumerate(document.read_text(encoding="utf-8").splitlines(), start=1)
-        for invocation in INVOCATION.finditer(line)
-        for flag in FLAG.findall(invocation.group("args"))
-        if flag not in flags
-    ]
+def unknown_cli_flags(document: Path, parser: argparse.ArgumentParser) -> List[Tuple[int, str]]:
+    """(line number, flag) of every option a ``repro`` invocation passes where the CLI lacks it.
+
+    Each option is judged by the parser its position reaches: the root parser
+    until a subcommand name, then that subcommand's.  The value after a
+    single-valued option (``--store DIR``) is skipped, so it is never taken
+    for a subcommand.
+    """
+    found: List[Tuple[int, str]] = []
+    for number, line in enumerate(document.read_text(encoding="utf-8").splitlines(), start=1):
+        for invocation in INVOCATION.finditer(line):
+            options, commands = _grammar(parser)
+            tokens = iter(invocation.group("args").split())
+            for token in tokens:
+                if token in commands:
+                    options, commands = _grammar(commands[token])
+                    continue
+                for flag in FLAG.findall(token):
+                    if flag not in options:
+                        found.append((number, flag))
+                    elif options[flag].nargs is None and "=" not in token:
+                        next(tokens, None)
+    return found
 
 
 #: A member named on the execution context, e.g. ``ExecutionContext.dense_plan`` or ``ctx.tiled(``.
@@ -173,12 +190,12 @@ def main() -> int:
         for number, reference in stale_references(document):
             failures.append(f"{relative}:{number}: {reference} does not resolve")
 
-    flags = cli_flags()
+    parser = build_parser()
     members = context_members()
     skill = REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
     for document in documents + ([skill] if skill.exists() else []):
         relative = document.relative_to(REPO_ROOT)
-        for number, flag in unknown_cli_flags(document, flags):
+        for number, flag in unknown_cli_flags(document, parser):
             failures.append(f"{relative}:{number}: repro has no option {flag}")
         for number, mention in unknown_context_members(document, members):
             failures.append(f"{relative}:{number}: ExecutionContext has no member named by {mention}")
