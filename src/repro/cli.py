@@ -57,10 +57,6 @@ steal/lost-race counters of every lease namespace under the store::
 
     python -m repro --store .repro-store workers status
 
-``$REPRO_STORE_DRIVER`` selects the store's filesystem-semantics driver:
-``local`` (default) for a single machine, ``nfs`` for a store root shared by
-workers on several hosts (NFS-safe claim arbitration).
-
 ``repro serve`` runs the HTTP experiment service (:mod:`repro.server`) over
 the store: ``POST /sweeps`` deduplicates identical sweep specs into one job,
 ``GET /jobs/<id>/report`` serves the report byte-identical to
@@ -108,7 +104,7 @@ from .imc.reports import MethodSpec, compare_methods
 from .mapping.geometry import ArrayDims
 from .parallel import collect_workers_status, format_workers_status, resolve_workers
 from .scenarios import scenario_names
-from .store import ExperimentStore, open_store, resolve_driver
+from .store import ExperimentStore, open_store, resolve_lease_ttl
 from .workloads import compressible_geometries
 
 __all__ = ["build_parser", "main"]
@@ -415,8 +411,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # to --shard: an env default must not reject an external partition.
         args.workers_explicit = args.workers is not None
         args.workers = resolve_workers(args.workers)
-        # And the store driver ($REPRO_STORE_DRIVER naming no registered driver).
-        resolve_driver()
+        # And $REPRO_LEASE_TTL (a non-number or a non-positive TTL).
+        resolve_lease_ttl()
     except ValueError as error:
         parser.error(str(error))
     store = open_store(args.store or None)

@@ -59,6 +59,7 @@ from .store import (
     experiment_fingerprint,
     resolve_lease_ttl,
 )
+from .store.leases import release_lock
 
 __all__ = [
     "WORKERS_ENV_VAR",
@@ -174,7 +175,6 @@ class WorkerSpec:
     names: Tuple[str, ...]
     overrides: Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...]
     backend: Optional[str] = None
-    driver: Optional[str] = None
     #: A token of the run, shared by its workers: server jobs run on threads
     #: of one process, so a pid alone does not tell two runs' worker 0 apart.
     run: str = ""
@@ -240,10 +240,8 @@ def _worker_main(
 
     from .backend import using_backend
 
-    store = ExperimentStore(spec.store_root, driver=spec.driver)
-    board = LeaseBoard(
-        store.root, spec.namespace, ttl=spec.lease_ttl, driver=store.driver
-    )
+    store = ExperimentStore(spec.store_root)
+    board = LeaseBoard(store.root, spec.namespace, ttl=spec.lease_ttl)
     owner = spec.owner(os.getpid())
     stats = WorkerStats(worker_id=spec.worker_id)
     registry = experiment_registry()
@@ -389,7 +387,7 @@ def run_cells_parallel(
     ttl = resolve_lease_ttl(lease_ttl)
     backend_name = _pinned_backend_name(backend)
     namespace = plan_namespace(names, overrides, nshards, backend_name)
-    board = LeaseBoard(store.root, namespace, ttl=ttl, driver=store.driver)
+    board = LeaseBoard(store.root, namespace, ttl=ttl)
     # Publish the plan manifest before spawning so `repro workers status`
     # can tell an operator what this namespace is running and how far the
     # done markers have progressed.
@@ -400,7 +398,6 @@ def run_cells_parallel(
             "backend": backend_name,
             "workers": workers,
             "lease_ttl": ttl,
-            "driver": store.driver.name,
             "started": time.time(),
         }
     )
@@ -415,7 +412,6 @@ def run_cells_parallel(
             names=tuple(names),
             overrides=_freeze_overrides(names, overrides),
             backend=backend_name,
-            driver=store.driver.name,
             run=run,
         )
         for worker_id in range(workers)
@@ -574,7 +570,7 @@ def _expire_abandoned_leases(board: LeaseBoard, dead_owners: Collection[str]) ->
             # Renewal and release lock only their own lease, and claimants
             # back off from a live one: this lock's holder, if any, is the
             # dead owner killed mid-update, pinning the lease for a TTL.
-            board.driver.release_lock(board.mutex_path(shard))
+            release_lock(board.mutex_path(shard))
         if board.expire_lease(shard):
             expired += 1
     return expired
@@ -684,10 +680,12 @@ def collect_workers_status(
     """
     leases_root = store.root / "leases"
     statuses: List[NamespaceStatus] = []
-    for child in store.driver.listdir(leases_root):
+    if not leases_root.is_dir():
+        return statuses
+    for child in sorted(leases_root.iterdir()):
         if not child.is_dir() or (namespace is not None and child.name != namespace):
             continue
-        board = LeaseBoard(store.root, child.name, driver=store.driver)
+        board = LeaseBoard(store.root, child.name)
         plan = board.read_plan()
         done = board.done_shards()
         live = board.live_leases()
@@ -733,7 +731,6 @@ def format_workers_status(
                 f"  plan: experiments {names}"
                 f" · backend {status.plan.get('backend', '?')}"
                 f" · workers {status.plan.get('workers', '?')}"
-                f" · driver {status.plan.get('driver', 'local')}"
                 f" · ttl {status.plan.get('lease_ttl', '?')}s"
             )
         for shard, info in status.leases:

@@ -13,8 +13,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..store import resolve_lease_ttl
-
 __all__ = ["SERVER_ENV_PREFIX", "ServerConfig"]
 
 #: Common prefix of every service environment variable.
@@ -84,8 +82,6 @@ class ServerConfig:
     max_trials: int = 256
     #: Upper bound a request's "workers" may ask for (defensive cap).
     max_job_workers: int = 8
-    #: Shard-lease TTL of the jobs' parallel sweeps.
-    lease_ttl: float = resolve_lease_ttl(None)
 
     @classmethod
     def from_env(cls, **overrides: Any) -> "ServerConfig":
@@ -103,7 +99,6 @@ class ServerConfig:
             "rate_burst": _env_int("BURST", cls.rate_burst, minimum=1),
             "max_trials": _env_int("MAX_TRIALS", cls.max_trials, minimum=1),
             "max_job_workers": _env_int("MAX_WORKERS", cls.max_job_workers, minimum=1),
-            "lease_ttl": resolve_lease_ttl(None),
         }
         for key, value in overrides.items():
             if key not in values:

@@ -243,8 +243,9 @@ class ServerCore:
         """
         kind = "/".join(kind_parts)
         token = fingerprint.removesuffix(".json")
-        raw = self.store.driver.read_bytes(self.store.path_for(kind, token))
-        if raw is None:
+        try:
+            raw = self.store.path_for(kind, token).read_bytes()
+        except OSError:
             return _error(404, f"no artifact {kind}/{token}")
         return Response(status=200, body=raw, content_type="application/json")
 

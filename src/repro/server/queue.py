@@ -31,8 +31,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..engine.sweep import run_experiments
 from ..experiments.runner import results_to_json, run_all, suite_overrides, suite_to_json
-from ..parallel import default_shard_count, plan_namespace, resolve_workers
-from ..store import ExperimentStore, LeaseBoard
+from ..parallel import (
+    collect_workers_status,
+    default_shard_count,
+    plan_namespace,
+    resolve_workers,
+)
+from ..store import ExperimentStore
 from .config import ServerConfig
 from .schemas import SweepSpec, spec_fingerprint
 
@@ -192,33 +197,32 @@ class JobQueue:
         return payload["report"].encode("utf-8")
 
     def progress(self, job: Job) -> Optional[Dict[str, Any]]:
-        """Shard-level progress from the run's lease board, while it exists.
+        """Shard-level progress from the run's lease namespace, while it exists.
 
-        The board is purged when the run completes, so a done job reports
+        Read through :func:`repro.parallel.collect_workers_status`, so a
+        heartbeat is judged stale against the plan manifest's lease TTL, as
+        ``repro workers status`` and ``GET /workers`` judge it.  The
+        namespace is purged when the run completes, so a done job reports
         every shard complete without consulting it.
         """
         if job.nshards is None or job.namespace is None:
             return None
         if job.state is JobState.DONE:
             return {"shards_done": job.nshards, "nshards": job.nshards}
-        board = LeaseBoard(
-            self.store.root,
-            job.namespace,
-            ttl=self.config.lease_ttl,
-            driver=self.store.driver,
-        )
+        statuses = collect_workers_status(self.store, job.namespace)
         now = self.clock()
         return {
-            "shards_done": len(board.done_shards()),
+            "shards_done": sum(len(status.done) for status in statuses),
             "nshards": job.nshards,
             "namespace": job.namespace,
             "workers": [
                 {
                     "owner": beat.owner,
                     "heartbeat_age": round(beat.age(now), 3),
-                    "stale": beat.age(now) > board.ttl,
+                    "stale": beat.age(now) > status.ttl,
                 }
-                for beat in board.heartbeats()
+                for status in statuses
+                for beat in status.heartbeats
             ],
         }
 

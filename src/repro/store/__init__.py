@@ -10,16 +10,6 @@ experiment store").
 """
 
 from .codec import decode, encode
-from .driver import (
-    DRIVER_ENV_VAR,
-    LocalStoreDriver,
-    NfsSafeStoreDriver,
-    StoreDriver,
-    atomic_write_bytes,
-    driver_names,
-    register_driver,
-    resolve_driver,
-)
 from .fingerprint import (
     CODE_VERSION_SALT,
     active_salt,
@@ -43,6 +33,7 @@ from .store import (
     ArtifactInfo,
     ExperimentStore,
     GcStats,
+    atomic_write_bytes,
     default_store_root,
     open_store,
 )
@@ -50,18 +41,11 @@ from .store import (
 __all__ = [
     "CODE_VERSION_SALT",
     "DEFAULT_LEASE_TTL",
-    "DRIVER_ENV_VAR",
     "LEASE_TTL_ENV_VAR",
     "HeartbeatInfo",
     "LeaseBoard",
     "LeaseInfo",
-    "LocalStoreDriver",
-    "NfsSafeStoreDriver",
-    "StoreDriver",
     "atomic_write_bytes",
-    "driver_names",
-    "register_driver",
-    "resolve_driver",
     "resolve_lease_ttl",
     "STORE_ENV_VAR",
     "STORE_SCHEMA_VERSION",

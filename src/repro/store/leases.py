@@ -7,11 +7,12 @@ with the store directory as the only shared medium.  The coordination state
 lives under ``<store root>/leases/<namespace>/`` as marker files per shard:
 
 ``shard-K.lease``
-    Held by exactly one live worker.  Created atomically (the store driver
-    arbitrates racing claimants: exactly one create succeeds), carrying the
-    owner id, a per-acquisition **fence token** and an expiry timestamp.
-    A worker renews its lease between experiments; a lease whose expiry has
-    passed is *reclaimable* — some worker crashed or stalled mid-shard.
+    Held by exactly one live worker.  Created atomically (an ``O_CREAT |
+    O_EXCL`` create arbitrates racing claimants: exactly one succeeds),
+    carrying the owner id, a per-acquisition **fence token** and an expiry
+    timestamp.  A worker renews its lease between experiments; a lease whose
+    expiry has passed is *reclaimable* — some worker crashed or stalled
+    mid-shard.
 ``shard-K.mutex``
     A lock *directory* taken (``mkdir``) around every takeover, renewal and
     release of the shard's lease, so read-check-write sequences on the
@@ -34,15 +35,15 @@ lives under ``<store root>/leases/<namespace>/`` as marker files per shard:
 Correctness properties the test battery pins:
 
 * **At most one winner** — concurrent :meth:`LeaseBoard.claim` calls on one
-  shard never both succeed.  Fresh claims are arbitrated by the driver's
-  exclusive create; expired-lease takeovers run under the shard's mutation
-  lock and **re-validate expiry after acquiring it**, then replace the lease
-  file atomically *in place* — the slot is never transiently vacant, so no
-  third claimant can slip in mid-steal and no fresh lease can be stolen by
-  a claimant acting on a stale read.  (The earlier protocol renamed the
-  lease away by *path* after an unserialized read; a lease legitimately
-  re-created between the read and the rename was stolen, and two workers
-  won.  ``test_concurrent_claimants_never_both_win`` caught it.)
+  shard never both succeed.  Fresh claims are arbitrated by
+  :func:`create_exclusive`; expired-lease takeovers run under the shard's
+  mutation lock and **re-validate expiry after acquiring it**, then replace
+  the lease file atomically *in place* — the slot is never transiently
+  vacant, so no third claimant can slip in mid-steal and no fresh lease can
+  be stolen by a claimant acting on a stale read.  (The earlier protocol
+  renamed the lease away by *path* after an unserialized read; a lease
+  legitimately re-created between the read and the rename was stolen, and
+  two workers won.  ``test_concurrent_claimants_never_both_win`` caught it.)
 * **Fenced ownership** — every acquisition embeds a fresh random token in
   the lease file, remembered by the acquiring board.  :meth:`renew` and
   :meth:`release` verify owner *and* token under the mutation lock before
@@ -61,13 +62,17 @@ content-addressed and writes are atomic last-writer-wins, so two workers
 computing the same shard produce identical artifacts.  The lease protocol
 exists to make that duplication rare, not to make it unsafe.
 
-All filesystem semantics go through a :mod:`repro.store.driver`; the ``nfs``
-driver makes the same protocol arbitrate claims for workers on different
-hosts sharing one store root.
+Three filesystem recipes carry the protocol: :func:`create_exclusive` and
+the ``mkdir`` lock of :func:`acquire_lock` / :func:`release_lock` here, and
+the tmp + fsync + rename publish of
+:func:`repro.store.store.atomic_write_bytes`.  Each is atomic on a local
+filesystem and on NFSv3 or later, so workers on different hosts can share
+one store root (ENGINE.md, "Filesystem primitives").
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -78,7 +83,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from .driver import StoreDriver, resolve_driver
+from .store import atomic_write_bytes
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
@@ -86,6 +91,9 @@ __all__ = [
     "LeaseInfo",
     "HeartbeatInfo",
     "LeaseBoard",
+    "acquire_lock",
+    "create_exclusive",
+    "release_lock",
     "resolve_lease_ttl",
 ]
 
@@ -106,20 +114,74 @@ _DONE_FILE = re.compile(r"shard-(\d+)\.done$")
 
 def resolve_lease_ttl(ttl: Optional[float] = None) -> float:
     """An explicit TTL, else ``$REPRO_LEASE_TTL``, else the default."""
+    source = "lease TTL"
     if ttl is None:
         env = os.environ.get(LEASE_TTL_ENV_VAR)
         if not env:
             return DEFAULT_LEASE_TTL
+        source = f"${LEASE_TTL_ENV_VAR}"
         try:
             ttl = float(env)
         except ValueError as error:
             raise ValueError(
-                f"${LEASE_TTL_ENV_VAR} must be a number of seconds, got {env!r}"
+                f"{source} must be a number of seconds, got {env!r}"
             ) from error
     ttl = float(ttl)
-    if ttl <= 0:
-        raise ValueError(f"lease TTL must be positive, got {ttl}")
+    if not ttl > 0:  # also rejects NaN
+        raise ValueError(f"{source} must be positive, got {ttl}")
     return ttl
+
+
+def create_exclusive(path: Path, data: bytes) -> bool:
+    """Create ``path`` with ``data`` iff absent; the FS admits one winner."""
+    try:
+        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return False
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+    except OSError:  # pragma: no cover - disk failure mid-create
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return False
+    return True
+
+
+def acquire_lock(path: Path) -> bool:
+    """Take the lock directory; exactly one racing acquirer succeeds."""
+    try:
+        os.mkdir(path)
+        return True
+    except OSError:
+        return False
+
+
+def release_lock(path: Path) -> None:
+    """Drop the lock directory (a no-op when it is already gone)."""
+    try:
+        os.rmdir(path)
+    except OSError:
+        pass
+
+
+def _read_bytes(path: Path) -> Optional[bytes]:
+    """The file's bytes, or None when absent/unreadable."""
+    try:
+        return path.read_bytes()
+    except OSError:
+        return None
+
+
+def _mtime(path: Path) -> Optional[float]:
+    try:
+        return path.stat().st_mtime
+    except OSError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -155,8 +217,7 @@ class LeaseBoard:
     shard count, salt) plan — see :func:`repro.parallel.plan_namespace` — so
     markers from a differently-configured sweep can never be mistaken for
     this one's.  ``clock`` is injectable for deterministic expiry tests;
-    ``driver`` selects the filesystem-semantics implementation
-    (:mod:`repro.store.driver`); ``pause`` is a test-only seam called with a
+    ``pause`` is a test-only seam called with a
     label at every documented interleaving point (``claim:pre-takeover``,
     ``claim:locked``, ``renew:start``, ``renew:pre-lock``, ``renew:locked``,
     ``release:start``, ``release:pre-lock``, ``release:locked``) so
@@ -170,12 +231,10 @@ class LeaseBoard:
         namespace: str,
         ttl: Optional[float] = None,
         clock: Callable[[], float] = time.time,
-        driver: "str | StoreDriver | None" = None,
         pause: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.ttl = resolve_lease_ttl(ttl)
         self.clock = clock
-        self.driver = resolve_driver(driver)
         self.namespace = _NAMESPACE_SANITIZER.sub("_", namespace)
         self.directory = Path(root) / "leases" / self.namespace
         self.claims = 0
@@ -223,9 +282,7 @@ class LeaseBoard:
         path = self.lease_path(shard)
         self.directory.mkdir(parents=True, exist_ok=True)
         token = self._new_token()
-        if self.driver.create_exclusive(
-            path, self._payload(shard, owner, token).encode("utf-8")
-        ):
+        if create_exclusive(path, self._payload(shard, owner, token).encode("utf-8")):
             self._tokens[(shard, owner)] = token
             self.claims += 1
             return True
@@ -250,11 +307,11 @@ class LeaseBoard:
             current = self.read(shard)
             now = self.clock()
             if current is None:
-                if not self.driver.exists(path):
+                if not path.exists():
                     # Released under our feet: the slot is genuinely vacant;
                     # arbitration falls back to the exclusive create (an
                     # unserialized fresh claimant may legitimately beat us).
-                    if self.driver.create_exclusive(
+                    if create_exclusive(
                         path, self._payload(shard, owner, token).encode("utf-8")
                     ):
                         self._tokens[(shard, owner)] = token
@@ -270,9 +327,7 @@ class LeaseBoard:
                 # live one between our read and the lock: report a lost race.
                 self.lost_races += 1
                 return False
-            self.driver.replace(
-                path, self._payload(shard, owner, token).encode("utf-8")
-            )
+            self._write_atomic(path, self._payload(shard, owner, token))
             self._tokens[(shard, owner)] = token
             self.claims += 1
             self.steals += 1
@@ -354,7 +409,8 @@ class LeaseBoard:
             self._pause("release:locked")
             holder = self.read(shard)
             if holder is not None and holder.owner == owner and holder.token == token:
-                self.driver.unlink(self.lease_path(shard))
+                with contextlib.suppress(OSError):
+                    self.lease_path(shard).unlink()
             elif holder is not None:
                 self.fenced_releases += 1
         finally:
@@ -395,7 +451,7 @@ class LeaseBoard:
                 },
                 separators=(",", ":"),
             )
-            self.driver.replace(path, payload.encode("utf-8"))
+            self._write_atomic(path, payload)
             return True
         finally:
             self._release_mutex(shard)
@@ -414,7 +470,7 @@ class LeaseBoard:
         self.release(shard, owner)
 
     def is_done(self, shard: int) -> bool:
-        return self.driver.exists(self.done_path(shard))
+        return self.done_path(shard).exists()
 
     def pending(self, nshards: int) -> List[int]:
         """Shards (1-based) whose completion marker is absent."""
@@ -448,10 +504,10 @@ class LeaseBoard:
     def heartbeats(self) -> List[HeartbeatInfo]:
         """Every decoded worker heartbeat of this namespace, sorted by owner."""
         records: List[HeartbeatInfo] = []
-        for path in self.driver.listdir(self.directory):
+        for path in self._entries():
             if not path.name.endswith(".heartbeat"):
                 continue
-            raw = self.driver.read_bytes(path)
+            raw = _read_bytes(path)
             if raw is None:
                 continue
             try:
@@ -481,20 +537,21 @@ class LeaseBoard:
         limit = self.ttl if max_age is None else float(max_age)
         now = self.clock()
         pruned = 0
-        for path in self.driver.listdir(self.directory):
+        for path in self._entries():
             if not path.name.endswith(".heartbeat"):
                 continue
             beat: Optional[float] = None
-            raw = self.driver.read_bytes(path)
+            raw = _read_bytes(path)
             if raw is not None:
                 try:
                     beat = float(json.loads(raw.decode("utf-8"))["beat"])
                 except (ValueError, KeyError, TypeError):
                     beat = None
             if beat is None:
-                beat = self.driver.mtime(path)
+                beat = _mtime(path)
             if beat is not None and now - beat > limit:
-                self.driver.unlink(path)
+                with contextlib.suppress(OSError):
+                    path.unlink()
                 pruned += 1
         return pruned
 
@@ -505,7 +562,7 @@ class LeaseBoard:
 
     def read_plan(self) -> Optional[Dict[str, Any]]:
         """The decoded plan manifest, or None (absent or torn)."""
-        raw = self.driver.read_bytes(self.plan_path())
+        raw = _read_bytes(self.plan_path())
         if raw is None:
             return None
         try:
@@ -517,7 +574,7 @@ class LeaseBoard:
     def live_leases(self) -> List[Tuple[int, Optional[LeaseInfo]]]:
         """Every lease file present, as ``(shard, info-or-None-if-torn)``."""
         leases: List[Tuple[int, Optional[LeaseInfo]]] = []
-        for path in self.driver.listdir(self.directory):
+        for path in self._entries():
             match = _LEASE_FILE.fullmatch(path.name)
             if match:
                 leases.append((int(match.group(1)), self.read(int(match.group(1)))))
@@ -527,7 +584,7 @@ class LeaseBoard:
         """Every shard with a completion marker, sorted."""
         return sorted(
             int(match.group(1))
-            for path in self.driver.listdir(self.directory)
+            for path in self._entries()
             if (match := _DONE_FILE.fullmatch(path.name))
         )
 
@@ -536,7 +593,7 @@ class LeaseBoard:
     # ------------------------------------------------------------------
     def read(self, shard: int) -> Optional[LeaseInfo]:
         """The decoded live lease of a shard, or None (vacant or torn)."""
-        raw = self.driver.read_bytes(self.lease_path(shard))
+        raw = _read_bytes(self.lease_path(shard))
         if raw is None:
             return None
         try:
@@ -599,19 +656,19 @@ class LeaseBoard:
         """
         lock = self.mutex_path(shard)
         for attempt in range(attempts):
-            if self.driver.acquire_lock(lock):
+            if acquire_lock(lock):
                 return True
-            mtime = self.driver.mtime(lock)
+            mtime = _mtime(lock)
             if mtime is not None and self.clock() >= mtime + self.ttl:
-                self.driver.release_lock(lock)  # break a dead holder's lock
-                if self.driver.acquire_lock(lock):
+                release_lock(lock)  # break a dead holder's lock
+                if acquire_lock(lock):
                     return True
             if attempt + 1 < attempts:
                 time.sleep(0.001 * (attempt + 1))
         return False
 
     def _release_mutex(self, shard: int) -> None:
-        self.driver.release_lock(self.mutex_path(shard))
+        release_lock(self.mutex_path(shard))
 
     def _torn_lease_expired(self, path: Path, now: float) -> bool:
         """Expiry of an unreadable lease, judged by its mtime plus the TTL.
@@ -620,11 +677,18 @@ class LeaseBoard:
         payload write: the empty/partial file has no embedded expiry, so its
         modification time stands in.
         """
-        mtime = self.driver.mtime(path)
+        mtime = _mtime(path)
         return mtime is not None and now >= mtime + self.ttl
 
     def _write_atomic(self, path: Path, payload: str) -> None:
-        self.driver.write_atomic(path, payload.encode("utf-8"))
+        atomic_write_bytes(path, payload.encode("utf-8"))
+
+    def _entries(self) -> List[Path]:
+        """The namespace directory's entries, sorted (none when it is absent)."""
+        try:
+            return sorted(self.directory.iterdir())
+        except OSError:
+            return []
 
 
 def _no_pause(label: str) -> None:

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
 
-from .driver import StoreDriver, atomic_write_bytes, resolve_driver
 from .fingerprint import active_salt, valid_salts
 
 __all__ = [
@@ -64,6 +63,31 @@ STORE_ENV_VAR = "REPRO_STORE"
 
 _KIND_SANITIZER = re.compile(r"[^A-Za-z0-9._-]+")
 _TOKEN_SANITIZER = re.compile(r"[^A-Za-z0-9._x-]+")
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Publish ``data`` at ``path`` atomically (tmp + fsync + rename).
+
+    The one durability recipe every store-adjacent writer shares (artifacts,
+    lease/done markers, heartbeats): a same-directory uniquely-named
+    temporary file, fsynced, then ``os.replace``-d into place, so racing
+    writers leave exactly one valid file and a reader never observes a
+    partial write under the final name.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{os.urandom(4).hex()}")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
 
 
 def default_store_root() -> Optional[str]:
@@ -133,20 +157,13 @@ def _read_artifact(
 class ExperimentStore:
     """Content-addressed artifact store shared by processes via the filesystem.
 
-    ``driver`` selects the filesystem-semantics implementation
-    (:mod:`repro.store.driver`): ``local`` for a directory on one machine,
-    ``nfs`` for a store root shared by workers on several hosts.  Lease
-    boards opened on this store inherit the driver, so claim arbitration and
-    artifact publishing run under the same atomicity model.
+    Artifacts are published with :func:`atomic_write_bytes` and read back
+    with plain file reads; the lease boards opened on this store use the
+    same publish recipe (ENGINE.md, "Filesystem primitives").
     """
 
-    def __init__(
-        self,
-        root: "str | os.PathLike[str]",
-        driver: "str | StoreDriver | None" = None,
-    ) -> None:
+    def __init__(self, root: "str | os.PathLike[str]") -> None:
         self.root = Path(root)
-        self.driver = resolve_driver(driver)
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -224,7 +241,7 @@ class ExperimentStore:
             "checksum": _payload_checksum(payload),
         }
         path = self.path_for(kind, fingerprint)
-        self._atomic_write(path, json.dumps(wrapper, indent=None).encode("utf-8"))
+        atomic_write_bytes(path, json.dumps(wrapper, indent=None).encode("utf-8"))
         self.puts += 1
         return path
 
@@ -315,7 +332,7 @@ class ExperimentStore:
         for child in sorted(leases_root.iterdir()):
             if not child.is_dir():
                 continue
-            board = LeaseBoard(self.root, child.name, driver=self.driver)
+            board = LeaseBoard(self.root, child.name)
             plan = board.read_plan()
             if plan is not None and isinstance(plan.get("lease_ttl"), (int, float)):
                 if plan["lease_ttl"] > 0:
@@ -361,9 +378,6 @@ class ExperimentStore:
         for path in self.version_root.rglob("*"):
             if path.is_file() and ".tmp-" not in path.name:
                 yield path
-
-    def _atomic_write(self, path: Path, data: bytes) -> None:
-        self.driver.write_atomic(path, data)
 
     def _drop_corrupt(self, path: Path) -> None:
         self.corrupt_dropped += 1

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.server import ServerConfig
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestFromEnv:
@@ -21,3 +28,18 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_SERVER_PORT", value)
         with pytest.raises(ValueError, match=r"\$REPRO_SERVER_PORT must be in \[0, 65535\]"):
             ServerConfig.from_env()
+
+    def test_import_does_not_read_the_lease_ttl(self):
+        """Defining ``ServerConfig`` must not resolve ``$REPRO_LEASE_TTL``.
+
+        Regression: a field default called ``resolve_lease_ttl`` when the
+        class was defined, so a bad TTL broke ``import repro.server``.
+        """
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), REPRO_LEASE_TTL="-1")
+        completed = subprocess.run(
+            [sys.executable, "-c", "import repro.server"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert completed.returncode == 0, completed.stderr

@@ -1,11 +1,11 @@
-"""Tests for the pluggable store-driver layer.
+"""Tests for the filesystem recipes under the store and the leases.
 
-Drivers isolate every filesystem primitive the store and the lease
-protocol rely on (atomic writes, exclusive creates, mutation locks) so
-the same protocol can run over a local directory or an NFS export.  The
-``nfs`` driver replaces ``O_EXCL`` — historically unreliable on NFSv2
-and on lossy mounts — with the hard-link trick, whose verdict survives a
-lost RPC reply.
+Every correctness argument of the store and of the lease protocol rests on
+three recipes: :func:`repro.store.store.atomic_write_bytes` publishes a
+complete file under its final name (tmp + fsync + rename), while
+:func:`repro.store.leases.create_exclusive` (``O_CREAT | O_EXCL``) and the
+``mkdir`` lock of :func:`repro.store.leases.acquire_lock` each admit exactly
+one of any number of racing callers.
 """
 from __future__ import annotations
 
@@ -13,133 +13,56 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from threading import Barrier
 
-import pytest
-
-from repro.store import ExperimentStore
-from repro.store.driver import (
-    DRIVER_ENV_VAR,
-    LocalStoreDriver,
-    NfsSafeStoreDriver,
-    driver_names,
-    resolve_driver,
-)
-from repro.store.leases import LeaseBoard
+from repro.store import atomic_write_bytes
+from repro.store.leases import LeaseBoard, acquire_lock, create_exclusive, release_lock
 
 
-class TestResolveDriver:
-    def test_default_is_local(self, monkeypatch):
-        monkeypatch.delenv(DRIVER_ENV_VAR, raising=False)
-        assert isinstance(resolve_driver(), LocalStoreDriver)
-        assert resolve_driver().name == "local"
-
-    def test_env_selects_the_driver(self, monkeypatch):
-        monkeypatch.setenv(DRIVER_ENV_VAR, "nfs")
-        assert isinstance(resolve_driver(), NfsSafeStoreDriver)
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(DRIVER_ENV_VAR, "nfs")
-        assert resolve_driver("local").name == "local"
-
-    def test_instance_passthrough(self):
-        driver = NfsSafeStoreDriver()
-        assert resolve_driver(driver) is driver
-
-    def test_unknown_name_lists_the_registry(self, monkeypatch):
-        monkeypatch.delenv(DRIVER_ENV_VAR, raising=False)
-        with pytest.raises(ValueError, match="local"):
-            resolve_driver("gopherfs")
-
-    def test_registry_names(self):
-        assert set(driver_names()) >= {"local", "nfs"}
-
-
-@pytest.fixture(params=["local", "nfs"])
-def driver(request):
-    return resolve_driver(request.param)
-
-
-class TestDriverPrimitives:
-    """Both drivers must satisfy the same contract."""
-
-    def test_write_read_roundtrip(self, driver, tmp_path):
+class TestAtomicWrite:
+    def test_round_trip_leaves_no_temporaries(self, tmp_path):
         path = tmp_path / "a" / "b.json"
-        path.parent.mkdir()
-        driver.write_atomic(path, b"payload")
-        assert driver.read_bytes(path) == b"payload"
-        assert driver.exists(path)
-        assert driver.mtime(path) is not None
+        atomic_write_bytes(path, b"old")
+        atomic_write_bytes(path, b"payload")
+        assert path.read_bytes() == b"payload"
+        assert [p.name for p in path.parent.iterdir()] == ["b.json"]
 
-    def test_read_missing_is_none(self, driver, tmp_path):
-        assert driver.read_bytes(tmp_path / "nope") is None
-        assert driver.mtime(tmp_path / "nope") is None
-        assert not driver.exists(tmp_path / "nope")
 
-    def test_create_exclusive_single_winner(self, driver, tmp_path):
+class TestCreateExclusive:
+    def test_single_winner(self, tmp_path):
         path = tmp_path / "slot"
-        assert driver.create_exclusive(path, b"first")
-        assert not driver.create_exclusive(path, b"second")
-        assert driver.read_bytes(path) == b"first"
-
-    def test_replace_overwrites_in_place(self, driver, tmp_path):
-        path = tmp_path / "slot"
-        assert driver.create_exclusive(path, b"old")
-        driver.replace(path, b"new")
-        assert driver.read_bytes(path) == b"new"
-
-    def test_unlink(self, driver, tmp_path):
-        path = tmp_path / "slot"
-        driver.write_atomic(path, b"x")
-        assert driver.unlink(path)
-        assert not driver.unlink(path)
-        assert not driver.exists(path)
-
-    def test_lock_is_exclusive_until_released(self, driver, tmp_path):
-        lock = tmp_path / "shard-0.mutex"
-        assert driver.acquire_lock(lock)
-        assert not driver.acquire_lock(lock)
-        driver.release_lock(lock)
-        assert driver.acquire_lock(lock)
-
-    def test_listdir(self, driver, tmp_path):
-        (tmp_path / "one").write_text("1")
-        (tmp_path / "two").write_text("2")
-        names = {p.name for p in driver.listdir(tmp_path)}
-        assert names == {"one", "two"}
-        assert driver.listdir(tmp_path / "missing") == []
-
-
-class TestNfsCreateExclusive:
-    def test_no_sibling_files_left_behind(self, tmp_path):
-        driver = NfsSafeStoreDriver()
-        target = tmp_path / "slot"
-        assert driver.create_exclusive(target, b"x")
-        assert not driver.create_exclusive(target, b"y")
-        leftovers = [p.name for p in tmp_path.iterdir() if p.name != "slot"]
-        assert leftovers == [], "the hard-link siblings must be cleaned up"
+        assert create_exclusive(path, b"first")
+        assert not create_exclusive(path, b"second")
+        assert path.read_bytes() == b"first"
 
     def test_concurrent_creates_have_one_winner(self, tmp_path):
-        driver = NfsSafeStoreDriver()
+        """Barrier-synced racers on the create that arbitrates every fresh claim."""
         target = tmp_path / "slot"
         racers = 8
         barrier = Barrier(racers)
 
         def create(index: int) -> bool:
             barrier.wait()
-            return driver.create_exclusive(target, f"racer-{index}".encode())
+            return create_exclusive(target, f"racer-{index}".encode())
 
         with ThreadPoolExecutor(max_workers=racers) as pool:
             wins = list(pool.map(create, range(racers)))
         assert sum(wins) == 1
         winner = wins.index(True)
-        assert driver.read_bytes(target) == f"racer-{winner}".encode()
-        leftovers = [p.name for p in tmp_path.iterdir() if p.name != "slot"]
-        assert leftovers == []
+        assert target.read_bytes() == f"racer-{winner}".encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["slot"]
 
 
-class TestLeaseBoardOverDrivers:
-    @pytest.mark.parametrize("name", ["local", "nfs"])
-    def test_full_lease_lifecycle(self, tmp_path, name):
-        board = LeaseBoard(tmp_path / "store", "plan", ttl=30.0, driver=name)
+class TestLock:
+    def test_lock_is_exclusive_until_released(self, tmp_path):
+        lock = tmp_path / "shard-0.mutex"
+        assert acquire_lock(lock)
+        assert not acquire_lock(lock)
+        release_lock(lock)
+        assert acquire_lock(lock)
+
+
+class TestLeaseBoard:
+    def test_full_lease_lifecycle(self, tmp_path):
+        board = LeaseBoard(tmp_path / "store", "plan", ttl=30.0)
         assert board.claim(1, "alice")
         assert not board.claim(1, "bob")
         assert board.renew(1, "alice")
@@ -148,16 +71,3 @@ class TestLeaseBoardOverDrivers:
         assert not board.claim(1, "bob")
         lease = json.loads(board.done_path(1).read_text())
         assert lease["owner"] == "alice"
-
-
-class TestStoreOverDrivers:
-    def test_store_roundtrip_with_nfs_driver(self, tmp_path):
-        store = ExperimentStore(tmp_path / "store", driver="nfs")
-        assert store.driver.name == "nfs"
-        store.put("k", "ab" * 16, {"v": 1})
-        assert store.get("k", "ab" * 16) == {"v": 1}
-
-    def test_store_env_driver(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(DRIVER_ENV_VAR, "nfs")
-        store = ExperimentStore(tmp_path / "store")
-        assert store.driver.name == "nfs"

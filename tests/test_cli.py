@@ -239,16 +239,6 @@ class TestStoreCli:
         out = capsys.readouterr().out
         assert "pruned 1 stale worker heartbeats" in out
 
-    def test_unknown_env_store_driver_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_DRIVER", "bogus")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--store", str(tmp_path / "s"), "table1"])
-        assert excinfo.value.code == 2
-        captured = capsys.readouterr()
-        assert "error: unknown store driver 'bogus'" in captured.err
-        assert "$REPRO_STORE_DRIVER" in captured.err
-        assert captured.out == ""
-
     def test_store_env_var_is_the_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env-store"))
         assert main(["fig9"]) == 0
@@ -344,6 +334,16 @@ class TestWorkersCli:
             main(["table1"])
         assert "REPRO_WORKERS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ttl", ["abc", "-1", "nan"])
+    def test_invalid_env_lease_ttl_is_a_usage_error(self, tmp_path, capsys, monkeypatch, ttl):
+        monkeypatch.setenv("REPRO_LEASE_TTL", ttl)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--store", str(tmp_path / "s"), "--workers", "2", "fig7"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "$REPRO_LEASE_TTL" in captured.err
+        assert captured.out == ""
+
     def test_shard_with_workers_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main([
@@ -366,7 +366,6 @@ class TestWorkersStatusCli:
             "backend": "numpy",
             "workers": 2,
             "lease_ttl": 300.0,
-            "driver": "local",
         })
         assert board.claim(0, "worker-0")
         assert board.claim(2, "worker-1")

@@ -151,3 +151,23 @@ class TestCheckDocs:
         errors = capsys.readouterr().err
         assert "ENGINE.md:2: ExecutionContext has no member named by ctx.dense_monte_carlo_plan" in errors
         assert "workloads.md:2" not in errors  # real methods and fields pass
+
+    def test_unread_env_variable_detected(self, tmp_path, monkeypatch, capsys):
+        """A document naming an environment variable no source reads fails the gate."""
+        module = _load_module()
+        names = " ".join(
+            sorted(module.experiment_registry())
+            + list(module.backend_names())
+            + list(module.registered_networks())
+        )
+        (tmp_path / "README.md").write_text(names)
+        (tmp_path / "ENGINE.md").write_text(f"{names}\nexport `$REPRO_NO_SUCH_KNOB=1` first\n")
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "workloads.md").write_text(
+            f"{names}\n`$REPRO_WORKERS`, `$REPRO_SERVER_PORT` and every `$REPRO_SERVER_*` knob\n"
+        )
+        monkeypatch.setattr(module, "REPO_ROOT", tmp_path)
+        assert module.main() == 1
+        errors = capsys.readouterr().err
+        assert "ENGINE.md:2: no source reads $REPRO_NO_SUCH_KNOB" in errors
+        assert "workloads.md:2" not in errors  # read variables and the server prefix pass

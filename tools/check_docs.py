@@ -23,7 +23,12 @@ the documents that promise to list it:
 * every ``ExecutionContext.<name>`` and ``ctx.<name>`` in those files and the
   verify skill must name a method or dataclass field of
   ``repro.engine.ExecutionContext``, so deleting or renaming a plan method
-  cannot leave a documented call behind.
+  cannot leave a documented call behind;
+* every ``REPRO_…`` environment variable those files and the verify skill
+  name must be read by the package: a ``"REPRO_X"`` string literal under
+  ``src/repro``, or a ``REPRO_SERVER_…`` name that ``repro.server.config``
+  builds from its prefix.  So deleting a knob cannot leave a documented
+  variable that nothing reads.
 
 Run from the repository root (CI does, via the docs-consistency job)::
 
@@ -47,6 +52,7 @@ from repro.backend import backend_names  # noqa: E402
 from repro.cli import build_parser  # noqa: E402
 from repro.engine import ExecutionContext  # noqa: E402
 from repro.engine.sweep import experiment_registry  # noqa: E402
+from repro.server import config as server_config  # noqa: E402
 from repro.workloads import registered_networks  # noqa: E402
 import repro.experiments  # noqa: E402,F401  (populates the experiment registry)
 
@@ -161,6 +167,42 @@ def unknown_context_members(document: Path, members: Set[str]) -> List[Tuple[int
     ]
 
 
+#: An environment variable of the package, e.g. ``REPRO_WORKERS`` (or the
+#: ``REPRO_SERVER_`` of a ``$REPRO_SERVER_*`` mention).
+ENV_VARIABLE = re.compile(r"\bREPRO_[A-Z0-9_]+")
+
+
+def read_env_variables() -> Set[str]:
+    """Every ``REPRO_…`` name the package reads.
+
+    A ``"REPRO_X"`` string literal anywhere under the package, plus the
+    ``REPRO_SERVER_…`` names ``repro.server.config`` builds by prefixing one
+    of its upper-case literals (``SERVER_ENV_PREFIX + "HOST"``,
+    ``_env_int("PORT", …)``).
+    """
+    names = {
+        match
+        for source in Path(repro.__file__).parent.rglob("*.py")
+        for match in re.findall(r'"(REPRO_[A-Z0-9_]+)"', source.read_text(encoding="utf-8"))
+    }
+    config = Path(server_config.__file__).read_text(encoding="utf-8")
+    names.update(
+        server_config.SERVER_ENV_PREFIX + token
+        for token in re.findall(r'"([A-Z][A-Z0-9_]*)"', config)
+    )
+    return names
+
+
+def unread_env_variables(document: Path, read: Set[str]) -> List[Tuple[int, str]]:
+    """(line number, name) of every ``REPRO_…`` variable no source reads."""
+    return [
+        (number, match.group())
+        for number, line in enumerate(document.read_text(encoding="utf-8").splitlines(), start=1)
+        for match in ENV_VARIABLE.finditer(line)
+        if match.group() not in read
+    ]
+
+
 def main() -> int:
     experiments = tuple(sorted(experiment_registry()))
     backends = tuple(backend_names())
@@ -192,6 +234,7 @@ def main() -> int:
 
     parser = build_parser()
     members = context_members()
+    read = read_env_variables()
     skill = REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
     for document in documents + ([skill] if skill.exists() else []):
         relative = document.relative_to(REPO_ROOT)
@@ -199,6 +242,8 @@ def main() -> int:
             failures.append(f"{relative}:{number}: repro has no option {flag}")
         for number, mention in unknown_context_members(document, members):
             failures.append(f"{relative}:{number}: ExecutionContext has no member named by {mention}")
+        for number, name in unread_env_variables(document, read):
+            failures.append(f"{relative}:{number}: no source reads ${name}")
 
     if failures:
         print("docs-consistency check FAILED:", file=sys.stderr)
@@ -207,8 +252,9 @@ def main() -> int:
         print(
             "Document every registered name (or unregister it), point every "
             "repro.… reference at code that exists, pass repro only options it "
-            "accepts and name only ExecutionContext members that exist; see "
-            "docs/workloads.md and ENGINE.md.",
+            "accepts, name only ExecutionContext members that exist and only "
+            "environment variables the package reads; see docs/workloads.md "
+            "and ENGINE.md.",
             file=sys.stderr,
         )
         return 1
@@ -218,8 +264,8 @@ def main() -> int:
         f"{len(experiments)} experiments, {len(backends)} backends, "
         f"{len(networks)} networks all documented; "
         f"repro.… references in {len(documents)} files resolve; "
-        "documented repro invocations use only real options and "
-        "ExecutionContext members exist"
+        "documented repro invocations use only real options, "
+        "ExecutionContext members exist and every REPRO_… variable is read"
     )
     return 0
 
