@@ -44,16 +44,19 @@ precision policy and availability on this host::
 ``--workers N`` (or ``$REPRO_WORKERS``) runs any experiment sweep in ``N``
 workers: this process computes as worker 0 beside ``N - 1`` spawned worker
 processes.  The grid is partitioned into fingerprint-hash store shards,
-workers claim shards through crash-safe leases (work stealing — this process
-re-claims at once the shards of a worker that was SIGKILLed), and the report is
-assembled from the shared store, byte-identical to a ``--workers 1`` run::
+workers claim shards through claim files in the store (work stealing — this
+process frees and re-claims at once the shards of a worker that was SIGKILLed),
+and the report is assembled from the shared store, byte-identical to a
+``--workers 1`` run.  A run purges its claims when it starts and when it ends,
+so a rerun after a crash or a failure resumes from the cells the store holds::
 
     python -m repro --store .repro-store --workers 4 report --json out.json
 
 Without ``--store`` the workers share an ephemeral store for the run.
-``repro workers status`` inspects an in-flight (or abandoned) parallel sweep:
-the live shard leases, per-worker heartbeat ages, done-marker progress and
-steal/lost-race counters of every lease namespace under the store::
+``repro workers status`` inspects an in-flight parallel sweep (or one whose
+process was killed outright): the shard claims, per-worker heartbeat ages
+(``STALE`` after ``HEARTBEAT_STALE_S``, 120 s) and done-marker progress of
+every lease namespace under the store::
 
     python -m repro --store .repro-store workers status
 
@@ -96,7 +99,7 @@ from .imc.reports import MethodSpec, compare_methods
 from .mapping.geometry import ArrayDims
 from .parallel import collect_workers_status, format_workers_status, resolve_workers
 from .scenarios import scenario_names
-from .store import ExperimentStore, open_store, resolve_lease_ttl
+from .store import ExperimentStore, open_store
 from .workloads import compressible_geometries
 
 __all__ = ["build_parser", "main"]
@@ -377,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     workers.add_argument(
         "action", choices=("status",),
-        help="status: live shard leases, worker heartbeats, done-marker progress "
-             "and steal/lost-race counters per lease namespace",
+        help="status: shard claims, worker heartbeats and done-marker progress "
+             "per lease namespace",
     )
     workers.add_argument(
         "--namespace", type=str, default=None, metavar="NAME",
@@ -441,8 +444,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # to --shard: an env default must not reject an external partition.
         args.workers_explicit = args.workers is not None
         args.workers = resolve_workers(args.workers)
-        # And $REPRO_LEASE_TTL (a non-number or a non-positive TTL).
-        resolve_lease_ttl()
     except ValueError as error:
         parser.error(str(error))
     store = open_store(args.store or None)

@@ -8,15 +8,15 @@ execution path:
 * the grid is partitioned into ``4 x N`` **fingerprint-hash shards** — the
   same pure-function ownership ``repro report --shard K/N`` uses, so a
   shard's cell set is identical no matter which process computes it;
-* ``N`` workers **claim shards dynamically** through the crash-safe lease
-  protocol of :mod:`repro.store.leases` (work stealing: a fast worker drains
-  the queue), and every computed cell is persisted through the
+* ``N`` workers **claim shards dynamically** through the claim files of
+  :mod:`repro.store.leases` (work stealing: a fast worker drains the
+  queue), and every computed cell is persisted through the
   content-addressed :class:`~repro.store.ExperimentStore` — cells already
   present are skipped, so warm or partially-warm runs only compute the delta.
   The calling process is worker 0 and spawns the other ``N - 1``; a spawned
   worker leaves as soon as no shard is claimable, while the caller stays
-  until every shard is done, re-claiming the shard of a SIGKILLed worker
-  as soon as it sees the worker gone, not after the lease TTL;
+  until every shard is done, freeing and re-claiming the shards of a
+  SIGKILLed worker as soon as it sees the worker gone;
 * the caller **assembles** the finished grid through the ordinary warm-store
   path, which is byte-identical to a cold serial run by the store's headline
   contract — therefore ``--workers 4`` output is byte-identical to
@@ -45,21 +45,19 @@ import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .backend import Backend, active_backend
 from .engine.sweep import ShardStats, experiment_registry
 from .store import (
-    DEFAULT_LEASE_TTL,
+    HEARTBEAT_STALE_S,
     ExperimentStore,
     HeartbeatInfo,
     LeaseBoard,
     LeaseInfo,
     canonicalize,
     experiment_fingerprint,
-    resolve_lease_ttl,
 )
-from .store.leases import release_lock
 
 __all__ = [
     "WORKERS_ENV_VAR",
@@ -171,7 +169,6 @@ class WorkerSpec:
     store_root: str
     namespace: str
     nshards: int
-    lease_ttl: float
     names: Tuple[str, ...]
     overrides: Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...]
     backend: Optional[str] = None
@@ -186,7 +183,7 @@ class WorkerSpec:
         return {}
 
     def owner(self, pid: int) -> str:
-        """The lease owner id of this worker when it runs as process ``pid``."""
+        """The claim owner id of this worker when it runs as process ``pid``."""
         return f"worker-{self.worker_id}-pid{pid}-{self.run}"
 
 
@@ -196,10 +193,12 @@ class WorkerStats:
 
     worker_id: int
     shards: List[int] = field(default_factory=list)
+    #: Shards worker 0 re-claimed after freeing a SIGKILLed worker's claims.
     stolen: int = 0
     computed: int = 0
     resumed: int = 0
-    #: Always 0 (workers share no SVDs); kept because perfbench reads it.
+    #: These three are always 0 (workers share no SVDs, and no live claim
+    #: is ever taken over); kept because perfbench reads them.
     svd_store_hits: int = 0
     lost_races: int = 0
     abandoned: int = 0
@@ -222,7 +221,7 @@ def _scan_order(nshards: int, worker_id: int) -> List[int]:
 
 
 def _worker_main(
-    spec: WorkerSpec, wait: Optional[Callable[[bool], None]] = None
+    spec: WorkerSpec, watch: Optional["_SpawnedWorkers"] = None
 ) -> WorkerStats:
     """One worker: claim shards, compute their cells, mark them done.
 
@@ -231,20 +230,26 @@ def _worker_main(
     :mod:`repro.experiments` (self-registration repopulates the registry in
     the fresh interpreter) and resolves its backend from the spec.
 
-    A spawned worker (``wait`` is None) leaves as soon as no shard is
-    claimable.  The calling process runs worker 0 with ``wait``, its watch
-    over the spawned workers: called with False between experiments and with
-    True whenever no shard is claimable, it stays until every shard is done.
+    A spawned worker (``watch`` is None) leaves as soon as no shard is
+    claimable, or once its caller is gone: a caller killed outright leaves
+    its namespace to be purged by the next run of the plan, and a claim
+    taken after that purge would belong to no run.  The calling process
+    runs worker 0 with ``watch``, its view of the spawned workers: it waits
+    on them between experiments and whenever no shard is claimable, and
+    stays until every shard is done.  A cell that raises keeps its shard
+    claimed until the run's teardown purges the namespace: it would fail
+    the same way in any worker.
     """
     import repro.experiments  # noqa: F401  (registry population, required under spawn)
 
     from .backend import using_backend
 
     store = ExperimentStore(spec.store_root)
-    board = LeaseBoard(store.root, spec.namespace, ttl=spec.lease_ttl)
+    board = LeaseBoard(store.root, spec.namespace)
     owner = spec.owner(os.getpid())
     stats = WorkerStats(worker_id=spec.worker_id)
     registry = experiment_registry()
+    caller = multiprocessing.parent_process() if watch is None else None
 
     def beat() -> None:
         board.beat(
@@ -254,66 +259,40 @@ def _worker_main(
             stolen=stats.stolen,
             computed=stats.computed,
             resumed=stats.resumed,
-            abandoned=stats.abandoned,
-            **board.counters(),
         )
 
     beat()
     with using_backend(spec.backend):
-        while True:
+        while caller is None or caller.is_alive():
             claimed: Optional[int] = None
             for shard in _scan_order(spec.nshards, spec.worker_id):
-                if board.is_done(shard):
-                    continue
-                vacancy_was_held = board.read(shard) is not None
                 if board.claim(shard, owner):
                     claimed = shard
-                    if vacancy_was_held:
+                    if watch is not None and shard in watch.freed:
                         stats.stolen += 1
                     break
             if claimed is None:
-                if wait is None or board.all_done(spec.nshards):
+                if watch is None or board.all_done(spec.nshards):
                     break
                 beat()  # idle, but alive: keep the liveness record fresh
-                wait(True)
+                watch.wait(True)
                 continue
             beat()
-            abandoned = False
             for name in spec.names:
-                try:
-                    result = registry[name].run(
-                        store=store,
-                        shard=(claimed, spec.nshards),
-                        **spec.experiment_overrides(name),
-                    )
-                except Exception:
-                    # A raising cell fails the same way on every retry:
-                    # hand the shard back and fail the run now, instead of
-                    # another worker claiming the shard only to fail again.
-                    board.release(claimed, owner)
-                    raise
+                result = registry[name].run(
+                    store=store,
+                    shard=(claimed, spec.nshards),
+                    **spec.experiment_overrides(name),
+                )
                 if isinstance(result, ShardStats):
                     stats.computed += result.computed
                     stats.resumed += result.resumed
-                # A renewal between experiments keeps a long shard from
-                # expiring under its own worker.  A fenced refusal means
-                # the lease was stolen (this worker stalled past the
-                # TTL): ownership is gone for good, so the shard must be
-                # abandoned — the thief recomputes only the cells the
-                # store does not already hold, and writing our done
-                # marker for work the thief now owns would be a lie.
-                if not board.renew(claimed, owner):
-                    stats.abandoned += 1
-                    abandoned = True
-                    break
                 beat()
-                if wait is not None:
-                    wait(False)
-            if not abandoned:
-                board.mark_done(claimed, owner)
-                stats.shards.append(claimed)
+                if watch is not None:
+                    watch.wait(False)
+            board.mark_done(claimed, owner)
+            stats.shards.append(claimed)
             beat()
-    stats.lost_races = board.lost_races
     return stats
 
 
@@ -358,7 +337,6 @@ def run_cells_parallel(
     workers: int,
     nshards: Optional[int] = None,
     backend: Union[str, Backend, None] = None,
-    lease_ttl: Optional[float] = None,
 ) -> List[WorkerStats]:
     """Compute every grid cell of the named experiments with ``workers`` workers.
 
@@ -368,12 +346,17 @@ def run_cells_parallel(
     :func:`run_experiments_parallel` adds).  The run succeeds when **every
     shard carries a completion marker**, not when every worker survives: a
     spawned worker SIGKILLed mid-shard (the OOM killer, ``kill -9``) merely
-    forfeits its lease, which the caller expires once it sees the worker
+    forfeits its claims, which the caller frees once it sees the worker
     gone, then re-claims the shard and recomputes only the cells the store
     does not already hold.  A cell that *raises*, in any worker, fails the
     run instead, with that worker's traceback, and so does a spawned worker
     that dies any other way (Ctrl-C reaches the spawned workers but not a
     server job's thread); the spawned workers are then stopped.
+
+    The run owns its lease namespace: it purges the namespace before it
+    starts (clearing what a run killed outright left behind) and again when
+    it ends, whether it succeeds or fails.  A rerun therefore resumes from
+    the cells the store holds, not from completion markers.
 
     The caller looks at its spawned workers between the experiments of a
     shard and whenever it is idle, so a spawned worker's failure fails the
@@ -384,10 +367,10 @@ def run_cells_parallel(
     nshards = nshards if nshards is not None else default_shard_count(workers)
     if nshards < 1:
         raise ValueError(f"shard count must be >= 1, got {nshards}")
-    ttl = resolve_lease_ttl(lease_ttl)
     backend_name = _pinned_backend_name(backend)
     namespace = plan_namespace(names, overrides, nshards, backend_name)
-    board = LeaseBoard(store.root, namespace, ttl=ttl)
+    board = LeaseBoard(store.root, namespace)
+    board.purge()  # what a run of this plan killed outright left behind
     # Publish the plan manifest before spawning so `repro workers status`
     # can tell an operator what this namespace is running and how far the
     # done markers have progressed.
@@ -397,7 +380,6 @@ def run_cells_parallel(
             "nshards": nshards,
             "backend": backend_name,
             "workers": workers,
-            "lease_ttl": ttl,
             "started": time.time(),
         }
     )
@@ -408,7 +390,6 @@ def run_cells_parallel(
             store_root=str(store.root),
             namespace=namespace,
             nshards=nshards,
-            lease_ttl=ttl,
             names=tuple(names),
             overrides=_freeze_overrides(names, overrides),
             backend=backend_name,
@@ -417,31 +398,18 @@ def run_cells_parallel(
         for worker_id in range(workers)
     ]
     spawned = _SpawnedWorkers(specs[1:], board)
-    interrupted = False
     try:
         spawned.start()
         try:
-            own = _worker_main(specs[0], spawned.wait)
+            own = _worker_main(specs[0], spawned)
         except _WorkerFailed:
             raise
         except Exception:
             raise RuntimeError(f"parallel sweep failed in {_failure(0)}") from None
         spawned.join()
-    except BaseException:
-        # A failed worker, Ctrl-C (or any other failure here) is about to
-        # terminate workers that never got to release their leases.
-        interrupted = True
-        raise
     finally:
         spawned.stop()
-        if interrupted:
-            # Fast-expire whatever this process and the terminated workers
-            # still held, so an immediate rerun claims those shards instead
-            # of stalling a full TTL before it may steal them.
-            _expire_abandoned_leases(
-                board, {specs[0].owner(os.getpid()), *map(spawned.owner, spawned.processes)}
-            )
-    board.purge()
+        board.purge()
     return sorted([own, *spawned.stats.values()], key=lambda stats: stats.worker_id)
 
 
@@ -457,8 +425,10 @@ class _SpawnedWorkers:
         self.board = board
         self.processes: Dict[int, "multiprocessing.Process"] = {}
         self.stats: Dict[int, WorkerStats] = {}
-        #: Workers SIGKILLed, their leases already expired.
+        #: Workers SIGKILLed, their claims already freed.
         self.killed: Set[int] = set()
+        #: The shards those claims held.
+        self.freed: Set[int] = set()
 
     def start(self) -> None:
         if not self.specs:
@@ -472,9 +442,6 @@ class _SpawnedWorkers:
             process.start()
             self.processes[worker_id] = process
 
-    def owner(self, worker_id: int) -> str:
-        return self.specs[worker_id].owner(self.processes[worker_id].pid)
-
     def wait(self, idle: bool) -> None:
         """Worker 0's wait: poll between experiments, block while idle.
 
@@ -482,9 +449,8 @@ class _SpawnedWorkers:
         passes.  Either way it raises a worker's traceback.  A worker that
         exited without sending stats or traceback was SIGKILLed, or died of
         something else, such as a Ctrl-C.  A SIGKILL comes from outside (the
-        OOM killer, ``kill -9``), so the worker's leases are expired (it has
-        exited, so breaking its locks is safe) and its shard is claimable at
-        once, not after the lease TTL.  Any other silent exit fails the run.
+        OOM killer, ``kill -9``), so the worker's claims are freed and its
+        shards are claimable at once.  Any other silent exit fails the run.
         """
         if not self.processes:
             if idle:
@@ -499,10 +465,11 @@ class _SpawnedWorkers:
                 raise _WorkerFailed(
                     f"parallel sweep incomplete: worker {worker_id} (pid {process.pid}) "
                     f"exited with code {process.exitcode} before finishing; rerunning "
-                    "resumes from the completion markers and the materialized cells"
+                    "resumes from the materialized cells"
                 )
             self.killed.add(worker_id)
-            _expire_abandoned_leases(self.board, {self.owner(worker_id)})
+            owner = self.specs[worker_id].owner(process.pid)
+            self.freed.update(self.board.release_dead(owner))
 
     def join(self) -> None:
         """Wait for every spawned worker to exit, then gather the last stats."""
@@ -550,32 +517,6 @@ def _collect_worker_results(
     return [worker_id for worker_id in exited if worker_id not in collected]
 
 
-def _expire_abandoned_leases(board: LeaseBoard, dead_owners: Collection[str]) -> int:
-    """Fast-expire every live lease of a namespace held by a dead owner.
-
-    The owners (``dead_owners``) are workers that were terminated or killed
-    and then joined, or the calling process after its own worker loop ended,
-    so their leases can only stall the shards.  Expiry is a nudge, not a
-    revocation — the lease keeps its owner and fence token in place, so a
-    worker that somehow survived simply re-extends it on its next (fenced,
-    still-valid) renewal, while a genuinely dead worker's shard is
-    immediately claimable.  Leases of other owners are left alone.  Returns
-    how many leases were expired.
-    """
-    expired = 0
-    for shard, info in board.live_leases():
-        if info is None or info.owner not in dead_owners:
-            continue
-        if not info.expired(board.clock()):
-            # Renewal and release lock only their own lease, and claimants
-            # back off from a live one: this lock's holder, if any, is the
-            # dead owner killed mid-update, pinning the lease for a TTL.
-            release_lock(board.mutex_path(shard))
-        if board.expire_lease(shard):
-            expired += 1
-    return expired
-
-
 def run_experiments_parallel(
     names: Sequence[str],
     overrides: Optional[Mapping[str, Mapping[str, Any]]] = None,
@@ -583,7 +524,6 @@ def run_experiments_parallel(
     workers: Optional[int] = None,
     nshards: Optional[int] = None,
     backend: Union[str, Backend, None] = None,
-    lease_ttl: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Process-parallel equivalent of :func:`repro.engine.sweep.run_experiments`.
 
@@ -617,7 +557,6 @@ def run_experiments_parallel(
             workers=resolve_workers(workers),
             nshards=nshards,
             backend=backend,
-            lease_ttl=lease_ttl,
         )
         # Warm assembly: every cell is materialized, so this pass decodes
         # instead of computing.  workers=1 runs every experiment serially,
@@ -643,20 +582,17 @@ class NamespaceStatus:
     done: List[int]
     leases: List[Tuple[int, Optional[LeaseInfo]]]
     heartbeats: List[HeartbeatInfo]
-    #: Lease TTL the namespace runs under (plan manifest, else the default) —
-    #: the yardstick a heartbeat's age is judged stale against.
-    ttl: float = DEFAULT_LEASE_TTL
 
 
 def collect_workers_status(
     store: ExperimentStore, namespace: Optional[str] = None
 ) -> List[NamespaceStatus]:
-    """The live lease/heartbeat/progress state of every namespace in a store.
+    """The live claim/heartbeat/progress state of every namespace in a store.
 
-    Scans ``<root>/leases/``; a namespace that finished successfully was
-    purged, so anything listed is either in flight or abandoned.  The shard
-    total comes from the plan manifest when present, else from the highest
-    shard index any marker mentions.
+    Scans ``<root>/leases/``; a run purges its namespace when it ends, so
+    anything listed is in flight or was left by a run killed outright.  The
+    shard total comes from the plan manifest when present, else from the
+    highest shard index any marker mentions.
     """
     leases_root = store.root / "leases"
     statuses: List[NamespaceStatus] = []
@@ -674,9 +610,6 @@ def collect_workers_status(
             nshards = plan["nshards"]
         elif done or live:
             nshards = max([*done, *(shard for shard, _ in live)])
-        ttl = board.ttl
-        if plan is not None and isinstance(plan.get("lease_ttl"), (int, float)):
-            ttl = float(plan["lease_ttl"])
         statuses.append(
             NamespaceStatus(
                 namespace=child.name,
@@ -685,7 +618,6 @@ def collect_workers_status(
                 done=done,
                 leases=live,
                 heartbeats=board.heartbeats(),
-                ttl=ttl,
             )
         )
     return statuses
@@ -694,10 +626,10 @@ def collect_workers_status(
 def format_workers_status(
     statuses: Sequence[NamespaceStatus], now: Optional[float] = None
 ) -> str:
-    """Render namespace progress, live leases and worker heartbeats."""
+    """Render namespace progress, shard claims and worker heartbeats."""
     now = time.time() if now is None else now
     if not statuses:
-        return "no active lease namespaces (finished sweeps purge their markers)"
+        return "no active lease namespaces (every run purges its markers when it ends)"
     lines: List[str] = [f"{len(statuses)} active namespace(s)"]
     for status in statuses:
         total = f"/{status.nshards}" if status.nshards is not None else ""
@@ -711,54 +643,30 @@ def format_workers_status(
                 f"  plan: experiments {names}"
                 f" · backend {status.plan.get('backend', '?')}"
                 f" · workers {status.plan.get('workers', '?')}"
-                f" · ttl {status.plan.get('lease_ttl', '?')}s"
             )
         for shard, info in status.leases:
             if info is None:
                 lines.append(f"  shard {shard:3d}  torn lease (claimant died mid-write)")
-                continue
-            remaining = info.expires - now
-            state = (
-                f"expires in {remaining:6.1f}s"
-                if remaining > 0
-                else f"EXPIRED {-remaining:.1f}s ago (reclaimable)"
-            )
-            lines.append(
-                f"  shard {shard:3d}  leased by {info.owner}  {state}"
-                f"  token {info.token[:8] or '-'}"
-            )
+            else:
+                lines.append(
+                    f"  shard {shard:3d}  leased by {info.owner}"
+                    f"  claimed {now - info.acquired:6.1f}s ago"
+                )
         for beat in status.heartbeats:
             info = beat.info
-            counters = " ".join(
-                f"{key} {info[key]}"
-                for key in ("claims", "steals", "lost_races", "abandoned")
-                if key in info
-            )
-            shards_done = info.get("shards", [])
-            # A worker renews its heartbeat at least once per lease TTL; a
-            # record older than that belongs to a dead (or wedged) worker.
+            # A live worker beats between experiments and while idle; a
+            # record older than HEARTBEAT_STALE_S belongs to a dead (or
+            # wedged) worker.
             stale = (
-                f"  STALE (no beat for {beat.age(now):.0f}s > ttl {status.ttl:.0f}s)"
-                if beat.age(now) > status.ttl
+                f"  STALE (no beat for {beat.age(now):.0f}s > {HEARTBEAT_STALE_S:.0f}s)"
+                if beat.age(now) > HEARTBEAT_STALE_S
                 else ""
             )
             lines.append(
-                (
-                    f"  {beat.owner}  heartbeat {beat.age(now):6.1f}s ago"
-                    f"  host {info.get('host', '?')}"
-                    f"  shards done {len(shards_done)}"
-                    f"  computed {info.get('computed', '?')}"
-                    f"  {counters}"
-                ).rstrip()
+                f"  {beat.owner}  heartbeat {beat.age(now):6.1f}s ago"
+                f"  host {info.get('host', '?')}"
+                f"  shards done {len(info.get('shards', []))}"
+                f"  computed {info.get('computed', '?')}"
                 + stale
-            )
-        totals = {
-            key: sum(int(beat.info.get(key, 0)) for beat in status.heartbeats)
-            for key in ("claims", "steals", "lost_races", "abandoned")
-        }
-        if status.heartbeats:
-            lines.append(
-                "  totals: "
-                + " · ".join(f"{key.replace('_', ' ')} {value}" for key, value in totals.items())
             )
     return "\n".join(lines)

@@ -1,9 +1,10 @@
 """The service's HTTP front-end: a stdlib ``ThreadingHTTPServer`` over the core.
 
-Each request runs on its own thread and is handed to
+Each request, whatever its method, runs on its own thread and is handed to
 :meth:`repro.server.core.ServerCore.handle`; the handler passes response
-bytes through untouched, so it can never perturb the byte-identity contract
-of ``GET /jobs/{id}/report``.  It reads exactly the body the client
+bytes through untouched (a ``HEAD`` answer keeps the status and headers and
+drops the body), so it can never perturb the byte-identity contract of
+``GET /jobs/{id}/report``.  It reads exactly the body the client
 declared: a ``Transfer-Encoding`` body is refused with 411, a
 ``Content-Length`` that is not a non-negative decimal integer with 400, and
 one past :data:`~repro.server.core.MAX_BODY_BYTES` with 413, each before
@@ -76,10 +77,12 @@ class _CoreHTTPHandler(BaseHTTPRequestHandler):
         for name, value in response.headers.items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(response.body)
+        if self.command != "HEAD":
+            self.wfile.write(response.body)
 
-    do_GET = _respond
-    do_POST = _respond
+    # Every method reaches the core, which answers one it does not route
+    # with a JSON 404; HEAD gets that answer's status and headers alone.
+    do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = do_OPTIONS = do_HEAD = _respond
 
     def log_message(self, format: str, *args: Any) -> None:
         # Quiet by default; the CLI surface prints its own startup line.

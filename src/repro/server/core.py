@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..parallel import collect_workers_status
-from ..store import ExperimentStore
+from ..store import HEARTBEAT_STALE_S, ExperimentStore
 from .config import ServerConfig
 from .queue import Job, JobQueue, JobState
 from .ratelimit import RateLimiter
@@ -149,9 +149,7 @@ class ServerCore:
                             {
                                 "shard": shard,
                                 "owner": info.owner if info else None,
-                                "expires_in": round(info.expires - now, 3)
-                                if info
-                                else None,
+                                "age": round(now - info.acquired, 3) if info else None,
                                 "torn": info is None,
                             }
                             for shard, info in status.leases
@@ -160,7 +158,7 @@ class ServerCore:
                             {
                                 "owner": beat.owner,
                                 "age": round(beat.age(now), 3),
-                                "stale": beat.age(now) > status.ttl,
+                                "stale": beat.age(now) > HEARTBEAT_STALE_S,
                                 "info": beat.info,
                             }
                             for beat in status.heartbeats

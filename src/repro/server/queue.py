@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..engine.sweep import run_experiments
 from ..experiments.runner import ExperimentSuite, results_to_json, suite_overrides
 from ..parallel import collect_workers_status, default_shard_count, plan_namespace
-from ..store import ExperimentStore
+from ..store import HEARTBEAT_STALE_S, ExperimentStore
 from .config import ServerConfig
 from .schemas import SweepSpec, spec_fingerprint
 
@@ -180,11 +180,11 @@ class JobQueue:
     def progress(self, job: Job) -> Optional[Dict[str, Any]]:
         """Shard-level progress from the run's lease namespace, while it exists.
 
-        Read through :func:`repro.parallel.collect_workers_status`, so a
-        heartbeat is judged stale against the plan manifest's lease TTL, as
+        Read through :func:`repro.parallel.collect_workers_status`, and a
+        heartbeat with no beat for over ``HEARTBEAT_STALE_S`` is stale, as
         ``repro workers status`` and ``GET /workers`` judge it.  The
-        namespace is purged when the run completes, so a done job reports
-        every shard complete without consulting it.
+        namespace is purged when the run ends, so a done job reports every
+        shard complete without consulting it.
         """
         if job.nshards is None or job.namespace is None:
             return None
@@ -200,7 +200,7 @@ class JobQueue:
                 {
                     "owner": beat.owner,
                     "heartbeat_age": round(beat.age(now), 3),
-                    "stale": beat.age(now) > status.ttl,
+                    "stale": beat.age(now) > HEARTBEAT_STALE_S,
                 }
                 for status in statuses
                 for beat in status.heartbeats

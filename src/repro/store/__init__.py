@@ -19,14 +19,7 @@ from .fingerprint import (
     experiment_fingerprint,
     valid_salts,
 )
-from .leases import (
-    DEFAULT_LEASE_TTL,
-    LEASE_TTL_ENV_VAR,
-    HeartbeatInfo,
-    LeaseBoard,
-    LeaseInfo,
-    resolve_lease_ttl,
-)
+from .leases import HEARTBEAT_STALE_S, HeartbeatInfo, LeaseBoard, LeaseInfo
 from .store import (
     STORE_ENV_VAR,
     STORE_SCHEMA_VERSION,
@@ -40,13 +33,11 @@ from .store import (
 
 __all__ = [
     "CODE_VERSION_SALT",
-    "DEFAULT_LEASE_TTL",
-    "LEASE_TTL_ENV_VAR",
+    "HEARTBEAT_STALE_S",
     "HeartbeatInfo",
     "LeaseBoard",
     "LeaseInfo",
     "atomic_write_bytes",
-    "resolve_lease_ttl",
     "STORE_ENV_VAR",
     "STORE_SCHEMA_VERSION",
     "ArtifactInfo",

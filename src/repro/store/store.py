@@ -69,7 +69,7 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     """Publish ``data`` at ``path`` atomically (tmp + fsync + rename).
 
     The one durability recipe every store-adjacent writer shares (artifacts,
-    lease/done markers, heartbeats): a same-directory uniquely-named
+    done markers, heartbeats, plan manifests): a same-directory uniquely-named
     temporary file, fsynced, then ``os.replace``-d into place, so racing
     writers leave exactly one valid file and a reader never observes a
     partial write under the final name.
@@ -316,12 +316,11 @@ class ExperimentStore:
     def _prune_stale_heartbeats(self) -> int:
         """Drop dead workers' heartbeat records from every lease namespace.
 
-        Successful sweeps purge their whole namespace, but a crashed or
-        interrupted one leaves its heartbeats behind; without gc they
-        accumulate forever and clutter ``repro workers status``.  Each
-        namespace's staleness yardstick is its own lease TTL (from the plan
-        manifest when present).  A namespace left completely empty is
-        removed outright.
+        Every run purges its namespace when it ends, but a run killed
+        outright leaves its heartbeats behind; without gc they accumulate
+        until the next run of the same plan and clutter ``repro workers
+        status``.  A record with no beat for over ``HEARTBEAT_STALE_S`` is
+        pruned.  A namespace left completely empty is removed outright.
         """
         from .leases import LeaseBoard
 
@@ -332,12 +331,7 @@ class ExperimentStore:
         for child in sorted(leases_root.iterdir()):
             if not child.is_dir():
                 continue
-            board = LeaseBoard(self.root, child.name)
-            plan = board.read_plan()
-            if plan is not None and isinstance(plan.get("lease_ttl"), (int, float)):
-                if plan["lease_ttl"] > 0:
-                    board.ttl = float(plan["lease_ttl"])
-            pruned += board.prune_heartbeats()
+            pruned += LeaseBoard(self.root, child.name).prune_heartbeats()
             try:
                 child.rmdir()  # only succeeds when nothing else remains
             except OSError:

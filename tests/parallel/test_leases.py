@@ -1,21 +1,20 @@
-"""Lease-protocol correctness: single-winner claims, expiry, reclamation.
+"""Claim-protocol correctness: single-winner claims, release, completion.
 
 The invariants the process-parallel executor stands on (see
 ``src/repro/store/leases.py``):
 
-* concurrent claimants of one shard never both win — neither on a vacant
-  slot, nor when racing to take over an expired lease;
-* an expired (or torn) lease is reclaimable by exactly one new claimant;
+* concurrent claimants of one vacant shard never both win;
+* a claim, readable or torn, holds its shard until its owner releases it
+  or ``release_dead`` frees it — claims never expire;
 * completion markers are permanent: a done shard is never claimable again.
 
-The hypothesis suite drives randomized operation schedules against a fake
-clock (deterministic expiry); the thread and fork batteries race *real*
+The hypothesis suite drives randomized claim/release/done schedules against
+a model of the one owner; the thread and fork batteries race *real*
 claimants through the same filesystem arbitration the production workers use.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -24,12 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.store.leases import (
-    DEFAULT_LEASE_TTL,
-    LEASE_TTL_ENV_VAR,
-    LeaseBoard,
-    resolve_lease_ttl,
-)
+from repro.store.leases import HEARTBEAT_STALE_S, LeaseBoard
 
 
 class FakeClock:
@@ -50,31 +44,7 @@ def clock():
 
 @pytest.fixture
 def board(tmp_path, clock):
-    return LeaseBoard(tmp_path / "store", "unit", ttl=30.0, clock=clock)
-
-
-class TestResolveLeaseTtl:
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(LEASE_TTL_ENV_VAR, "5")
-        assert resolve_lease_ttl(7.5) == 7.5
-
-    def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv(LEASE_TTL_ENV_VAR, "5")
-        assert resolve_lease_ttl() == 5.0
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(LEASE_TTL_ENV_VAR, raising=False)
-        assert resolve_lease_ttl() == DEFAULT_LEASE_TTL
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(LEASE_TTL_ENV_VAR, "soon")
-        with pytest.raises(ValueError, match="REPRO_LEASE_TTL"):
-            resolve_lease_ttl()
-
-    @pytest.mark.parametrize("ttl", [0, -1.0])
-    def test_non_positive_rejected(self, ttl):
-        with pytest.raises(ValueError, match="positive"):
-            resolve_lease_ttl(ttl)
+    return LeaseBoard(tmp_path / "store", "unit", clock=clock)
 
 
 class TestClaimLifecycle:
@@ -94,30 +64,23 @@ class TestClaimLifecycle:
         board.release(1, "bob")
         assert board.read(1).owner == "alice"
 
-    def test_live_lease_blocks_until_expiry(self, board, clock):
+    def test_claim_never_expires(self, board, clock):
         assert board.claim(2, "alice")
-        clock.advance(29.9)
+        clock.advance(1e6)
         assert not board.claim(2, "bob")
-        clock.advance(0.2)
-        assert board.claim(2, "bob")
-        assert board.read(2).owner == "bob"
-        assert board.steals == 1
+        assert board.read(2).owner == "alice"
+        assert board.read(2).acquired == 1000.0
 
-    def test_renew_extends_the_expiry(self, board, clock):
-        assert board.claim(3, "alice")
-        clock.advance(25.0)
-        assert board.renew(3, "alice")
-        clock.advance(25.0)  # 50s after claim, 25s after renewal
-        assert not board.claim(3, "bob")
-
-    def test_renew_fails_after_losing_the_lease(self, board, clock):
-        assert board.claim(4, "alice")
-        clock.advance(31.0)
-        assert board.claim(4, "bob")
-        assert not board.renew(4, "alice")
-
-    def test_renew_on_vacant_shard_fails(self, board):
-        assert not board.renew(9, "alice")
+    def test_torn_claim_holds_its_shard(self, board, clock):
+        """A claimant killed between its create and its payload write."""
+        path = board.lease_path(7)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("")  # unreadable: no owner to release it
+        old = clock() - 1e6
+        os.utime(path, (old, old))
+        assert not board.claim(7, "bob")
+        assert board.read(7) is None
+        assert board.live_leases() == [(7, None)]
 
     def test_done_shard_is_never_claimable(self, board, clock):
         assert board.claim(5, "alice")
@@ -145,29 +108,11 @@ class TestClaimLifecycle:
         board.purge()
         assert not board.directory.exists()
         assert not board.is_done(1)
-
-    def test_torn_lease_blocks_until_mtime_expiry(self, board, clock, tmp_path):
-        """A claimant that died between create and payload write."""
-        path = board.lease_path(7)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("")  # unreadable: no embedded expiry
-        assert not board.claim(7, "bob")
-        # Age the file past the TTL (the mtime stands in for the expiry).
-        old = clock() - 31.0
-        os.utime(path, (old, old))
-        clock.now = 1000.0
-        assert board.claim(7, "bob")
-        assert board.read(7).owner == "bob"
-
-    def test_lease_file_is_valid_json_with_expiry(self, board, clock):
-        board.claim(1, "alice")
-        data = json.loads(board.lease_path(1).read_text())
-        assert data["expires"] == pytest.approx(clock() + 30.0)
-        assert data["owner"] == "alice"
+        assert board.claim(1, "bob"), "a purge frees every shard"
 
     def test_namespaces_are_isolated(self, tmp_path, clock):
-        one = LeaseBoard(tmp_path / "store", "plan-a", ttl=30.0, clock=clock)
-        two = LeaseBoard(tmp_path / "store", "plan-b", ttl=30.0, clock=clock)
+        one = LeaseBoard(tmp_path / "store", "plan-a", clock=clock)
+        two = LeaseBoard(tmp_path / "store", "plan-b", clock=clock)
         assert one.claim(1, "alice")
         assert two.claim(1, "bob")
         one.mark_done(1, "alice")
@@ -183,217 +128,60 @@ OWNERS = ("w0", "w1", "w2", "w3")
 @settings(max_examples=60, deadline=None)
 @given(
     steps=st.lists(
-        st.one_of(
-            st.tuples(st.just("claim"), st.sampled_from(OWNERS)),
-            st.tuples(st.just("release"), st.sampled_from(OWNERS)),
-            st.tuples(st.just("renew"), st.sampled_from(OWNERS)),
-            st.tuples(st.just("advance"), st.floats(min_value=0.0, max_value=25.0)),
-        ),
+        st.tuples(st.sampled_from(("claim", "release", "done")), st.sampled_from(OWNERS)),
         max_size=40,
     )
 )
 def test_schedules_never_admit_two_live_owners(tmp_path_factory, steps):
     """Model-based check: whatever the schedule, at most one claim is live.
 
-    The model tracks who must own the lease; claim/renew/release results must
-    match it exactly, including expiry-driven ownership loss.
+    The model tracks who must own the claim and whether the shard is done;
+    claim results and the claim on disk must match it exactly.
     """
     root = tmp_path_factory.mktemp("hyp")
-    clock = FakeClock()
-    board = LeaseBoard(root / "store", "hyp", ttl=10.0, clock=clock)
+    board = LeaseBoard(root / "store", "hyp", clock=FakeClock())
     owner_of_record = None
-    expiry = None
-    for action, value in steps:
-        expired = expiry is not None and clock() >= expiry
-        if action == "advance":
-            clock.advance(value)
-        elif action == "claim":
-            won = board.claim(1, value)
-            if owner_of_record is None or expired:
-                assert won, "a vacant/expired slot must be claimable"
-                owner_of_record, expiry = value, clock() + 10.0
-            elif value == owner_of_record:
-                # Re-claiming one's own live lease fails (it is held).
-                assert not won
+    done = False
+    for action, owner in steps:
+        if action == "claim":
+            won = board.claim(1, owner)
+            if owner_of_record is None and not done:
+                assert won, "a vacant, unfinished slot must be claimable"
+                owner_of_record = owner
             else:
-                assert not won, "a live lease must never be double-claimed"
-        elif action == "renew":
-            renewed = board.renew(1, value)
-            if owner_of_record == value and not expired:
-                assert renewed
-                expiry = clock() + 10.0
-            elif owner_of_record != value:
-                assert not renewed
-            # An expired-but-unstolen lease may still renew (the owner beat
-            # the thieves to it) — both outcomes are legal; trust the board.
-            elif renewed:
-                expiry = clock() + 10.0
+                assert not won, "a held or finished slot must never be claimed"
         elif action == "release":
-            board.release(1, value)
-            if owner_of_record == value:
-                owner_of_record, expiry = None, None
+            board.release(1, owner)
+            if owner_of_record == owner:
+                owner_of_record = None
+        else:
+            board.mark_done(1, owner)
+            done = True
+            if owner_of_record == owner:
+                owner_of_record = None
+        holder = board.read(1)
+        assert (holder.owner if holder else None) == owner_of_record
 
 
 @settings(max_examples=15, deadline=None)
-@given(claimants=st.integers(min_value=2, max_value=8), expired=st.booleans())
-def test_concurrent_claimants_never_both_win(tmp_path_factory, claimants, expired):
-    """Racing threads — through the real filesystem arbitration — yield one winner.
-
-    ``expired=True`` pre-seeds the shard with a dead worker's expired lease,
-    so the race is over the takeover path (mutex-serialized in-place
-    replacement) rather than the vacant path (exclusive-create arbitration);
-    both must admit exactly one winner.
-    """
+@given(claimants=st.integers(min_value=2, max_value=8))
+def test_concurrent_claimants_never_both_win(tmp_path_factory, claimants):
+    """Racing threads on a vacant shard — through the real filesystem
+    arbitration, the exclusive create — yield exactly one winner."""
     root = tmp_path_factory.mktemp("race")
-    clock = FakeClock()
-    board = LeaseBoard(root / "store", "race", ttl=10.0, clock=clock)
-    if expired:
-        assert board.claim(1, "dead-worker")
-        clock.advance(11.0)
+    board = LeaseBoard(root / "store", "race", clock=FakeClock())
     with ThreadPoolExecutor(max_workers=claimants) as pool:
         wins = list(pool.map(lambda i: board.claim(1, f"claimant-{i}"), range(claimants)))
     assert sum(wins) == 1
     winner = board.read(1)
-    assert winner is not None and winner.owner.startswith("claimant-")
-
-
-# ----------------------------------------------------------------------
-# Deterministic steal interleavings via the pause-point seam
-#
-# Each test pins one read-check-write window the un-fenced protocol left
-# open: the pause hook fires inside the victim's window, a thief board
-# (no hook) completes a full steal there, and the fenced protocol must
-# detect it — claim reports a lost race, renew refuses to resurrect,
-# release refuses to unlink the thief's live lease.
-# ----------------------------------------------------------------------
-class TestFencedInterleavings:
-    def _boards(self, tmp_path, clock, hooks):
-        """A victim board wired to the pause seam, and a hook-free thief."""
-        def pause(label):
-            action = hooks.pop(label, None)
-            if action is not None:
-                action()
-
-        victim = LeaseBoard(tmp_path / "store", "seam", ttl=30.0, clock=clock, pause=pause)
-        thief = LeaseBoard(tmp_path / "store", "seam", ttl=30.0, clock=clock)
-        return victim, thief
-
-    def test_steal_during_claim_takeover_is_a_lost_race(self, tmp_path, clock):
-        """Regression: the two-winner TOCTOU of the rename-by-path takeover.
-
-        The victim observes an expired lease; before it can take over, a
-        thief completes a full takeover and holds a *fresh* lease at the
-        same path.  The old protocol renamed that fresh lease away and won
-        anyway (two winners); the fenced protocol must re-validate expiry
-        under the shard mutex and report a lost race.
-        """
-        hooks = {}
-        victim, thief = self._boards(tmp_path, clock, hooks)
-        seed = LeaseBoard(tmp_path / "store", "seam", ttl=30.0, clock=clock)
-        assert seed.claim(1, "dead-worker")
-        clock.advance(31.0)
-        hooks["claim:pre-takeover"] = lambda: thief.claim(1, "thief") or pytest.fail(
-            "the thief's takeover must succeed inside the victim's window"
-        )
-        assert not victim.claim(1, "victim"), "acting on the stale read must lose"
-        assert victim.lost_races == 1
-        holder = victim.read(1)
-        assert holder.owner == "thief", "the thief's fresh lease must survive intact"
-        assert thief.renew(1, "thief"), "the thief must still own its acquisition"
-
-    def test_takeover_attempt_against_a_held_mutex_loses(self, tmp_path, clock):
-        """While one claimant is inside the takeover critical section, a
-        racing claimant cannot interleave — it reports a lost race."""
-        hooks = {}
-        victim, thief = self._boards(tmp_path, clock, hooks)
-        seed = LeaseBoard(tmp_path / "store", "seam", ttl=30.0, clock=clock)
-        assert seed.claim(1, "dead-worker")
-        clock.advance(31.0)
-        outcomes = {}
-        hooks["claim:locked"] = lambda: outcomes.setdefault("thief", thief.claim(1, "thief"))
-        assert victim.claim(1, "victim"), "the mutex holder completes its takeover"
-        assert outcomes == {"thief": False}, "the serialized thief must lose"
-        assert victim.read(1).owner == "victim"
-        assert thief.lost_races == 1
-
-    def test_steal_during_renew_cannot_resurrect_the_lease(self, tmp_path, clock):
-        """Regression: the renew() lost-update.
-
-        The victim's pre-lock ownership check passes; a thief then steals
-        the (expired) lease inside the window before the victim's write.
-        The un-fenced renewal overwrote the thief's lease — resurrecting a
-        dead acquisition and leaving two workers computing one shard.  The
-        fenced renewal re-reads under the mutex, sees the thief's token,
-        returns False, and the victim must abandon the shard.
-        """
-        hooks = {}
-        victim, thief = self._boards(tmp_path, clock, hooks)
-        assert victim.claim(3, "victim")
-        clock.advance(31.0)  # expired: the thief's steal is legitimate
-        hooks["renew:pre-lock"] = lambda: thief.claim(3, "thief") or pytest.fail(
-            "the thief's steal must succeed inside the renew window"
-        )
-        assert not victim.renew(3, "victim"), "a stolen lease must not be resurrected"
-        assert victim.fenced_renewals == 1
-        assert victim.read(3).owner == "thief", "the thief's lease must survive"
-        # The refusal is final: the victim's token is gone, so even a renew
-        # with no interleaving stays refused.
-        assert not victim.renew(3, "victim")
-
-    def test_steal_during_release_cannot_unlink_the_thiefs_lease(self, tmp_path, clock):
-        """Regression: release() unlinking a thief's live lease.
-
-        Same window as the renew lost-update, on the release path: the
-        victim's pre-lock check passes, the thief steals, and the un-fenced
-        release then unlinked the thief's *live* lease — reopening the
-        shard to a second claimant while the thief computed it.  The fenced
-        release verifies the token under the mutex and leaves it alone.
-        """
-        hooks = {}
-        victim, thief = self._boards(tmp_path, clock, hooks)
-        assert victim.claim(5, "victim")
-        clock.advance(31.0)
-        hooks["release:pre-lock"] = lambda: thief.claim(5, "thief") or pytest.fail(
-            "the thief's steal must succeed inside the release window"
-        )
-        victim.release(5, "victim")
-        holder = victim.read(5)
-        assert holder is not None and holder.owner == "thief", (
-            "the thief's live lease must not be unlinked"
-        )
-        assert victim.fenced_releases == 1
-        assert thief.renew(5, "thief")
-
-    def test_fence_token_outlives_owner_name_collisions(self, tmp_path, clock):
-        """Ownership is the (owner, token) acquisition, not the owner string.
-
-        A lease re-acquired under the *same* owner id by a different board
-        (a restarted worker process reusing its name) carries a new token;
-        the stale board's renew/release must be refused even though the
-        owner strings match.
-        """
-        stale = LeaseBoard(tmp_path / "store", "seam", ttl=30.0, clock=clock)
-        assert stale.claim(1, "worker-0")
-        clock.advance(31.0)
-        reborn = LeaseBoard(tmp_path / "store", "seam", ttl=30.0, clock=clock)
-        assert reborn.claim(1, "worker-0"), "the restarted process re-acquires"
-        assert not stale.renew(1, "worker-0"), "the old acquisition is fenced out"
-        stale.release(1, "worker-0")
-        assert reborn.read(1) is not None, "the new acquisition must survive"
-        assert reborn.renew(1, "worker-0")
-
-    def test_lease_files_carry_the_fence_token(self, board):
-        assert board.claim(1, "alice")
-        data = json.loads(board.lease_path(1).read_text())
-        assert data["token"] and len(data["token"]) == 16
-        assert board.read(1).token == data["token"]
+    assert winner is not None and winner.owner == f"claimant-{wins.index(True)}"
 
 
 # ----------------------------------------------------------------------
 # Real multi-process races (the production arbitration end to end)
 # ----------------------------------------------------------------------
 def _claim_once(root: str, shard: int, owner: str, barrier, results) -> None:
-    board = LeaseBoard(root, "mp", ttl=5.0)
+    board = LeaseBoard(root, "mp")
     barrier.wait()
     results.put((owner, board.claim(shard, owner)))
 
@@ -423,45 +211,16 @@ class TestMultiProcessClaims:
             proc.join(timeout=60)
             assert proc.exitcode == 0
         assert sum(won for _, won in outcomes) == 1
-        board = LeaseBoard(tmp_path / "store", "mp", ttl=5.0)
+        board = LeaseBoard(tmp_path / "store", "mp")
         winner = board.read(1)
         assert winner is not None
         assert (winner.owner, True) in outcomes
-
-    def test_expired_lease_reclaimed_by_exactly_one_process(self, tmp_path, mp_context):
-        clock = FakeClock()
-        seed = LeaseBoard(tmp_path / "store", "mp", ttl=5.0, clock=clock)
-        assert seed.claim(1, "crashed-worker")
-        # Rewind the lease so the children (on the real clock) see it expired.
-        path = seed.lease_path(1)
-        stale = json.loads(path.read_text())
-        stale["expires"] = 0.0
-        path.write_text(json.dumps(stale))
-
-        barrier = mp_context.Barrier(3)
-        results = mp_context.Queue()
-        workers = [
-            mp_context.Process(
-                target=_claim_once,
-                args=(str(tmp_path / "store"), 1, f"thief-{index}", barrier, results),
-            )
-            for index in range(3)
-        ]
-        for proc in workers:
-            proc.start()
-        outcomes = [results.get(timeout=60) for _ in workers]
-        for proc in workers:
-            proc.join(timeout=60)
-            assert proc.exitcode == 0
-        assert sum(won for _, won in outcomes) == 1
-        new_owner = LeaseBoard(tmp_path / "store", "mp", ttl=5.0).read(1)
-        assert new_owner.owner.startswith("thief-")
 
 
 def _churn_worker(root: str, nshards: int, rounds: int, owner: str, barrier, results) -> None:
     """Claim/compute/release churn over every shard, recording mutual-exclusion
     violations via an O_EXCL critical-section marker next to each shard."""
-    board = LeaseBoard(root, "churn", ttl=10.0)
+    board = LeaseBoard(root, "churn")
     violations = 0
     wins = 0
     barrier.wait()
@@ -477,8 +236,8 @@ def _churn_worker(root: str, nshards: int, rounds: int, owner: str, barrier, res
                 violations += 1
             else:
                 os.close(fd)
-                if not board.renew(shard, owner):
-                    violations += 1  # a held, unexpired lease must renew
+                if board.read(shard).owner != owner:
+                    violations += 1  # a held claim must stay the holder's
                 os.unlink(marker)
             board.release(shard, owner)
     results.put((owner, wins, violations))
@@ -486,9 +245,9 @@ def _churn_worker(root: str, nshards: int, rounds: int, owner: str, barrier, res
 
 class TestMultiProcessStress:
     def test_churn_never_admits_two_holders(self, tmp_path, mp_context):
-        """Four processes churn claim/renew/release over four shards; the
-        O_EXCL busy-marker proves at most one holder per shard at any time,
-        and every held lease renews successfully."""
+        """Four processes churn claim/release over four shards; the O_EXCL
+        busy-marker proves at most one holder per shard at any time, and
+        every held claim reads back as its holder's."""
         nprocs, nshards, rounds = 4, 4, 15
         barrier = mp_context.Barrier(nprocs)
         results = mp_context.Queue()
@@ -508,49 +267,6 @@ class TestMultiProcessStress:
         assert sum(violations for _, _, violations in outcomes) == 0
         assert sum(wins for _, wins, _ in outcomes) > 0, "the churn must make progress"
 
-    def test_expired_seeds_stolen_exactly_once_per_shard(self, tmp_path, mp_context):
-        """Every shard starts with an expired lease; a posse of processes
-        races to steal all of them at once.  Each shard must end with
-        exactly one winner — no two-winner takeovers, no vacant shards."""
-        nshards, nprocs = 3, 4
-        seed = LeaseBoard(tmp_path / "store", "mp", ttl=5.0)
-        for shard in range(nshards):
-            assert seed.claim(shard, "crashed-worker")
-            path = seed.lease_path(shard)
-            stale = json.loads(path.read_text())
-            stale["expires"] = 0.0
-            path.write_text(json.dumps(stale))
-
-        def steal_all(root, owner, barrier, results):
-            board = LeaseBoard(root, "mp", ttl=5.0)
-            barrier.wait()
-            won = [shard for shard in range(nshards) if board.claim(shard, owner)]
-            results.put((owner, won))
-
-        barrier = mp_context.Barrier(nprocs)
-        results = mp_context.Queue()
-        workers = [
-            mp_context.Process(
-                target=steal_all,
-                args=(str(tmp_path / "store"), f"thief-{index}", barrier, results),
-            )
-            for index in range(nprocs)
-        ]
-        for proc in workers:
-            proc.start()
-        outcomes = [results.get(timeout=120) for _ in workers]
-        for proc in workers:
-            proc.join(timeout=120)
-            assert proc.exitcode == 0
-        winners_per_shard = {shard: 0 for shard in range(nshards)}
-        for _, won in outcomes:
-            for shard in won:
-                winners_per_shard[shard] += 1
-        assert winners_per_shard == {shard: 1 for shard in range(nshards)}
-        board = LeaseBoard(tmp_path / "store", "mp", ttl=5.0)
-        for shard in range(nshards):
-            assert board.read(shard).owner.startswith("thief-")
-
 
 class TestStoreIntegration:
     def test_store_clear_removes_lease_state(self, tmp_path):
@@ -558,7 +274,7 @@ class TestStoreIntegration:
 
         store = ExperimentStore(tmp_path / "store")
         store.put("k", "ab" * 16, {"v": 1})
-        board = LeaseBoard(store.root, "plan", ttl=30.0)
+        board = LeaseBoard(store.root, "plan")
         board.claim(1, "alice")
         board.mark_done(2, "alice")
         store.clear()
@@ -566,56 +282,50 @@ class TestStoreIntegration:
         assert store.get("k", "ab" * 16) is None
 
 
-class TestExpireLease:
-    """Parent-side fast expiry after terminating workers (interrupt teardown)."""
+class TestReleaseDead:
+    """Worker 0 frees the claims of a spawned worker it saw SIGKILLed."""
 
-    def test_live_lease_becomes_immediately_claimable(self, board, clock):
-        assert board.claim(1, "worker-a")
-        assert not board.claim(1, "worker-b")
-        assert board.expire_lease(1)
-        assert board.claim(1, "worker-b")
+    def test_frees_the_dead_owners_claims_and_keeps_the_others(self, board):
+        assert board.claim(1, "worker-1-dead")
+        assert board.claim(2, "worker-2-live")
+        assert board.claim(3, "worker-1-dead")
+        assert board.release_dead("worker-1-dead") == [1, 3]
+        assert [(shard, info.owner) for shard, info in board.live_leases()] == [
+            (2, "worker-2-live")
+        ]
+        assert board.claim(1, "worker-0") and board.claim(3, "worker-0")
 
-    def test_expiry_preserves_owner_and_fence_token(self, board, clock):
-        # A nudge, not a revocation: only the expiry moves, so the fencing
-        # rules still apply to whoever acts on the lease next.
-        board.claim(2, "worker-a")
-        before = board.read(2)
-        clock.advance(1.0)
-        assert board.expire_lease(2)
-        after = board.read(2)
-        assert after.owner == before.owner
-        assert after.token == before.token
-        assert after.acquired == before.acquired
-        assert after.expires == clock.now
+    def test_frees_torn_claims(self, board):
+        torn = board.lease_path(4)
+        torn.parent.mkdir(parents=True, exist_ok=True)
+        torn.write_text("{")
+        assert board.claim(5, "worker-2-live")
+        assert board.release_dead("worker-1-dead") == [4]
+        assert not torn.exists()
+        assert board.read(5).owner == "worker-2-live"
+        assert board.claim(4, "worker-0")
 
-    def test_vacant_shard_reports_false(self, board):
-        assert board.expire_lease(3) is False
-
-    def test_already_expired_lease_reports_true(self, board, clock):
-        board.claim(4, "worker-a")
-        clock.advance(board.ttl + 1.0)
-        assert board.expire_lease(4) is True
-
-    def test_surviving_owner_still_renews_after_expiry(self, board, clock):
-        # A worker that was NOT actually dead re-extends on its next fenced
-        # renewal — expiry must not have invalidated its token.
-        board.claim(5, "worker-a")
-        assert board.expire_lease(5)
-        assert board.renew(5, "worker-a")
-        assert not board.claim(5, "worker-b")
+    def test_leaves_done_markers_alone(self, board):
+        assert board.claim(6, "worker-1-dead")
+        board.mark_done(6, "worker-1-dead")
+        assert board.release_dead("worker-1-dead") == []
+        assert board.is_done(6) and not board.claim(6, "worker-0")
 
 
 class TestHeartbeatPruning:
+    """Records older than ``HEARTBEAT_STALE_S`` (the "ttl" of the test names,
+    the old lease TTL's default) are pruned; younger ones survive."""
+
     def test_stale_records_pruned_fresh_ones_kept(self, board, clock):
         board.beat("old-worker", computed=3)
-        clock.advance(board.ttl + 1.0)
+        clock.advance(HEARTBEAT_STALE_S + 1.0)
         board.beat("live-worker", computed=5)
         assert board.prune_heartbeats() == 1
         assert [beat.owner for beat in board.heartbeats()] == ["live-worker"]
 
     def test_records_younger_than_the_ttl_survive(self, board, clock):
         board.beat("w")
-        clock.advance(board.ttl - 1.0)
+        clock.advance(HEARTBEAT_STALE_S - 1.0)
         assert board.prune_heartbeats() == 0
         assert [beat.owner for beat in board.heartbeats()] == ["w"]
 
@@ -629,6 +339,7 @@ class TestHeartbeatPruning:
         board.directory.mkdir(parents=True, exist_ok=True)
         torn = board.heartbeat_path("torn")
         torn.write_text("{not json")
-        os.utime(torn, (clock.now - 100.0, clock.now - 100.0))
+        old = clock.now - HEARTBEAT_STALE_S - 1.0
+        os.utime(torn, (old, old))
         assert board.prune_heartbeats() == 1
         assert not torn.exists()

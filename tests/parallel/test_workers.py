@@ -3,8 +3,9 @@
 The headline contract: ``--workers N`` produces output byte-identical to
 ``--workers 1`` (the workers only *compute cells into the store*; assembly is
 the ordinary warm path), resumes for free from a partially-warm store, and
-survives worker death: the calling process, worker 0, expires a killed
-worker's leases and re-claims its shards.
+survives worker death: the calling process, worker 0, frees a killed
+worker's claims and re-claims its shards.  A run purges its lease namespace
+when it starts and when it ends, so no claim outlives it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.experiments.runner import SUITE_EXPERIMENTS, run_all, suite_to_json
 from repro.parallel import (
     WORKERS_ENV_VAR,
     WorkerStats,
-    _expire_abandoned_leases,
     _scan_order,
     default_shard_count,
     plan_namespace,
@@ -35,8 +35,7 @@ from repro.parallel import (
     run_experiments_parallel,
 )
 from repro.imc.energy import EnergyModel
-from repro.store import ExperimentStore, LeaseBoard
-from repro.store.leases import acquire_lock
+from repro.store import HEARTBEAT_STALE_S, ExperimentStore, LeaseBoard
 
 RESTRICTED_OVERRIDES = {
     "fig6": {"array_sizes": (32,)},
@@ -338,11 +337,13 @@ class TestBackendPinning:
 
 class TestCrashRecovery:
     def test_expired_lease_of_a_dead_worker_is_stolen_and_completed(self, tmp_path):
-        """A lease with no live owner must not wedge the sweep.
+        """The claims of a caller killed outright must not wedge the rerun.
 
-        Simulates a worker that died mid-shard: its lease exists, is expired,
-        and its shard has no completion marker.  A fresh single-worker run
-        must steal the shard, compute the missing cells, and finish.
+        Simulates the CLI process of a parallel run SIGKILLed mid-sweep:
+        every shard of the plan still carries its claim, and none is done.
+        The rerun purges the namespace when it starts, so it computes every
+        shard at once.  Regression: the rerun sat idle until the orphaned
+        claims' 120 s lease TTL ran out.
         """
         store = ExperimentStore(tmp_path / "store")
         names = ["fig7"]
@@ -351,30 +352,52 @@ class TestCrashRecovery:
         # run_cells_parallel pins the unresolved backend to the active one
         # before deriving the namespace; mirror that here.
         namespace = plan_namespace(names, overrides, nshards, "numpy64")
-        board = LeaseBoard(store.root, namespace, ttl=30.0, clock=lambda: 0.0)
+        board = LeaseBoard(store.root, namespace)
         for shard in range(1, nshards + 1):
-            assert board.claim(shard, "dead-worker")  # all expired on the real clock
+            assert board.claim(shard, "dead-worker")
 
-        stats = run_cells_parallel(
-            names, overrides, store, workers=1, nshards=nshards, lease_ttl=30.0
-        )
-        assert sum(stat.stolen for stat in stats) == nshards
+        started = time.monotonic()
+        stats = run_cells_parallel(names, overrides, store, workers=1, nshards=nshards)
+        assert time.monotonic() - started < 15.0, "the orphaned claims were waited out"
         assert sum(len(stat.shards) for stat in stats) == nshards
+        assert not board.directory.exists(), "the run purges its namespace"
+
+    def test_a_spawned_worker_whose_caller_died_claims_nothing(self, tmp_path, monkeypatch):
+        """An orphan of a caller killed outright must not claim in its rerun.
+
+        The rerun purges the namespace when it starts; a claim the orphan
+        took after that would belong to no run and, were the orphan killed
+        too, would hold its shard for good.
+        """
+        from repro.parallel import WorkerSpec, _worker_main
+
+        class DeadCaller:
+            def is_alive(self):
+                return False
+
+        monkeypatch.setattr(multiprocessing, "parent_process", DeadCaller)
+        spec = WorkerSpec(
+            worker_id=1,
+            store_root=str(tmp_path / "store"),
+            namespace="orphan",
+            nshards=2,
+            names=("fig7",),
+            overrides=(("fig7", (("array_sizes", (32,)),)),),
+        )
+        stats = _worker_main(spec)
+        assert stats.shards == [] and stats.computed == 0
+        assert LeaseBoard(spec.store_root, "orphan").live_leases() == []
 
     def test_killed_worker_run_recovers_end_to_end(self, tmp_path):
         """SIGKILL one worker of a live CLI run; the report must still emerge.
 
-        The calling process re-claims the dead worker's shards as soon as it
-        sees the worker gone; should the first invocation fail anyway, the
-        rerun resumes from the completion markers + store — both paths must
-        end in a report byte-identical to the serial reference.
+        The calling process frees and re-claims the dead worker's shards as
+        soon as it sees the worker gone; should the first invocation fail
+        anyway, the rerun resumes from the cells in the store — both paths
+        must end in a report byte-identical to the serial reference.
         """
         repo_root = Path(__file__).resolve().parents[2]
-        env = {
-            **os.environ,
-            "PYTHONPATH": str(repo_root / "src"),
-            "REPRO_LEASE_TTL": "3",
-        }
+        env = {**os.environ, "PYTHONPATH": str(repo_root / "src")}
         env.pop(WORKERS_ENV_VAR, None)
         base = [
             sys.executable, "-m", "repro", "--store", str(tmp_path / "store"),
@@ -437,12 +460,12 @@ class TestCrashRecovery:
     def test_killed_worker_shard_is_reclaimed_without_waiting_out_the_ttl(
         self, tmp_path, monkeypatch
     ):
-        """A SIGKILLed worker's shard must not wait for its lease to expire.
+        """A SIGKILLed worker's shard must not wait for its claim to go.
 
         Regression: the dead worker's lease pinned its shard for the full TTL
         before a sibling could steal it, and with no sibling left the run
         failed as incomplete.  Worker 0 now sees the worker exit without a
-        word, expires its leases and re-claims the shard itself.
+        word, frees its claims and re-claims the shard itself.
         """
         monkeypatch.setattr(LeaseBoard, "purge", lambda self: None)
         store = ExperimentStore(tmp_path / "store")
@@ -452,9 +475,8 @@ class TestCrashRecovery:
             {"fig7": {"array_sizes": (32, 64, 128), "model": KillingEnergyModel()}},
             store,
             workers=2,
-            lease_ttl=300.0,
         )
-        assert time.monotonic() - started < 60.0, "the lease TTL was waited out"
+        assert time.monotonic() - started < 60.0, "the dead worker's claim was waited out"
         assert [stat.worker_id for stat in stats] == [0], "the killed worker sent nothing"
         assert stats[0].stolen >= 1
         namespace = next((store.root / "leases").iterdir()).name
@@ -479,7 +501,6 @@ class TestCrashRecovery:
                     {"fig7": {"array_sizes": (32, 64, 128), "model": InterruptedEnergyModel()}},
                     store,
                     workers=2,
-                    lease_ttl=300.0,
                 )
             except RuntimeError as error:
                 outcome.append(str(error))
@@ -495,16 +516,14 @@ class TestCrashRecovery:
         assert message is not None, "worker 0 computed the interrupted worker's shards"
         assert message.startswith("parallel sweep incomplete: worker 1 (pid ")
         assert "exited with code 1 before finishing" in message
-        now = time.time()
-        for namespace in (store.root / "leases").iterdir():
-            for _, info in LeaseBoard(store.root, namespace.name).live_leases():
-                assert info is None or info.expired(now)
+        assert message.endswith("rerunning resumes from the materialized cells")
+        assert not list((store.root / "leases").glob("*")), "the failed run purges its claims"
 
     @staticmethod
     def _owners(store, processes):
         """The lease board and the owner ids of worker 0 and spawned worker 1."""
         namespace = next((store.root / "leases").iterdir()).name
-        board = LeaseBoard(store.root, namespace, ttl=300.0)
+        board = LeaseBoard(store.root, namespace)
         parent = next(
             beat.owner for beat in board.heartbeats() if beat.info["pid"] == os.getpid()
         )
@@ -512,16 +531,15 @@ class TestCrashRecovery:
         return board, parent, f"worker-1-pid{processes[1].pid}-{run}"
 
     def test_interrupt_teardown_expires_abandoned_leases(self, tmp_path, monkeypatch):
-        """Ctrl-C in the parent must not leave live leases stalling a rerun.
+        """Ctrl-C in the parent must not leave claims stalling a rerun.
 
         Regression: the parent terminated its workers on KeyboardInterrupt
         without touching their leases, so an immediate rerun had to sit out
         up to a full TTL before it could steal the orphaned shards.  The
-        teardown now fast-expires whatever the parent, worker 0, and its
-        dead workers held.
+        teardown now purges the namespace, so no claim of worker 0 or of its
+        spawned worker survives it.
         """
         store = ExperimentStore(tmp_path / "store")
-        ttl = 300.0
         held = []
 
         def interrupt(processes, results, collected, timeout):
@@ -529,100 +547,34 @@ class TestCrashRecovery:
             # spawned worker holds a shard of its own.
             board, parent, child = self._owners(store, processes)
             held.extend(
-                (shard, parent)
+                (board.namespace, shard, parent)
                 for shard, info in board.live_leases()
                 if info is not None and info.owner == parent
             )
             for shard in range(1, 5):
                 if board.claim(shard, child):
-                    held.append((shard, child))
+                    held.append((board.namespace, shard, child))
                     break
             raise KeyboardInterrupt
 
         monkeypatch.setattr("repro.parallel._collect_worker_results", interrupt)
         with pytest.raises(KeyboardInterrupt):
             run_cells_parallel(
-                ["fig7"],
-                {"fig7": {"array_sizes": (32,)}},
-                store,
-                workers=2,
-                nshards=4,
-                lease_ttl=ttl,
+                ["fig7"], {"fig7": {"array_sizes": (32,)}}, store, workers=2, nshards=4
             )
-        assert {owner.split("-")[1] for _, owner in held} == {"0", "1"}, (
+        assert {owner.split("-")[1] for _, _, owner in held} == {"0", "1"}, (
             "worker 0 and its spawned worker must each have held a shard"
         )
-        namespace = next((store.root / "leases").iterdir()).name
-        board = LeaseBoard(store.root, namespace, ttl=ttl)
-        now = time.time()
-        for _, info in board.live_leases():
-            assert info is None or info.expired(now), (
-                "no lease may outlive the interrupt teardown"
-            )
-        # The owner and token survive expiry (fencing still applies), but a
-        # rerun's worker claims the shards immediately instead of stalling.
-        for shard, owner in held:
-            info = board.read(shard)
-            assert info is not None and info.owner == owner
-            assert board.claim(shard, "rerun-worker")
-
-    def test_teardown_frees_a_lease_whose_dead_worker_held_its_lock(
-        self, tmp_path, monkeypatch
-    ):
-        """A worker terminated inside a renewal must not pin its shard.
-
-        Regression: the teardown's expiry gave up on the shard's mutation
-        lock, which a dead holder keeps until it is a TTL old, so the lease
-        stayed live and an immediate rerun could neither claim nor renew
-        the shard.
-        """
-        store = ExperimentStore(tmp_path / "store")
-        ttl = 300.0
-        held = []
-
-        def interrupt(processes, results, collected, timeout):
-            # Spawned worker 1 leases a shard and dies holding its lock.
-            board, _, child = self._owners(store, processes)
-            for shard in range(1, 5):
-                if board.claim(shard, child):
-                    assert acquire_lock(board.mutex_path(shard))
-                    held.append((board.namespace, shard))
-                    break
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr("repro.parallel._collect_worker_results", interrupt)
-        with pytest.raises(KeyboardInterrupt):
-            run_cells_parallel(
-                ["fig7"],
-                {"fig7": {"array_sizes": (32,)}},
-                store,
-                workers=2,
-                nshards=4,
-                lease_ttl=ttl,
-            )
-        assert held, "the interrupt hook must have claimed a shard"
-        namespace, shard = held[0]
-        rerun = LeaseBoard(store.root, namespace, ttl=ttl)
-        assert rerun.claim(shard, "rerun-worker")
-        assert rerun.renew(shard, "rerun-worker")
-
-    def test_teardown_breaks_only_the_locks_of_workers_it_killed(self, tmp_path):
-        board = LeaseBoard(tmp_path / "store", "plan", ttl=300.0)
-        for shard, owner in ((1, "worker-0-pid11"), (2, "worker-1-pid12")):
-            assert board.claim(shard, owner)
-            assert acquire_lock(board.mutex_path(shard))
-        # Only worker 0 was joined; worker 1 may be alive in another sweep.
-        assert _expire_abandoned_leases(board, {"worker-0-pid11"}) == 1
-        rerun = LeaseBoard(tmp_path / "store", "plan", ttl=300.0)
-        assert rerun.claim(1, "rerun-worker") and rerun.renew(1, "rerun-worker")
-        assert not rerun.claim(2, "rerun-worker")
+        assert not list((store.root / "leases").glob("*")), (
+            "no claim may outlive the interrupt teardown"
+        )
+        for namespace, shard, _ in held:
+            assert LeaseBoard(store.root, namespace).claim(shard, "rerun-worker")
 
 
 class TestFailFast:
-    def test_raising_cell_fails_the_run_at_once_with_the_original_error(
-        self, tmp_path, monkeypatch
-    ):
-        """One raising cell must not make the run wait out the lease TTL.
+    def test_raising_cell_fails_the_run_at_once_with_the_original_error(self, tmp_path):
+        """One raising cell must fail the run at once, with its own error.
 
         Regression: the failing worker kept its lease, its siblings idled
         until the (default 120 s) TTL expired, stole the shard, failed the
@@ -631,7 +583,6 @@ class TestFailFast:
         """
         from repro.experiments.fig7 import run_fig7
 
-        monkeypatch.delenv("REPRO_LEASE_TTL", raising=False)
         store = ExperimentStore(tmp_path / "store")
         started = time.monotonic()
         with pytest.raises(RuntimeError) as failure:
@@ -646,11 +597,8 @@ class TestFailFast:
         message = str(failure.value)
         assert "ValueError: poisoned cell: 64x64 array" in message
         assert "rerunning resumes" not in message
-        # The failed run leaves no live lease to stall a rerun.
-        now = time.time()
-        for namespace in (store.root / "leases").iterdir():
-            for _, info in LeaseBoard(store.root, namespace.name).live_leases():
-                assert info is None or info.expired(now)
+        # The failed run leaves no claim to stall a rerun.
+        assert not list((store.root / "leases").glob("*"))
 
     def test_raising_cell_in_worker_0_fails_like_a_spawned_worker(self, tmp_path):
         """The calling process computes cells too, and fails the same way.
@@ -677,10 +625,7 @@ class TestFailFast:
         assert message.startswith(f"parallel sweep failed in worker 0 (pid {os.getpid()}):\n")
         assert "ValueError: poisoned cell: 64x64 array" in message
         assert "rerunning resumes" not in message
-        now = time.time()
-        for namespace in (store.root / "leases").iterdir():
-            for _, info in LeaseBoard(store.root, namespace.name).live_leases():
-                assert info is None or info.expired(now)
+        assert not list((store.root / "leases").glob("*"))
 
 
 class TestObservability:
@@ -750,7 +695,8 @@ class TestObservability:
         assert stats.lost_races == 0 and stats.abandoned == 0
 
     def test_status_flags_heartbeats_older_than_the_lease_ttl(self, tmp_path):
-        """A record with no beat for over a TTL belongs to a dead worker.
+        """A record with no beat for over ``HEARTBEAT_STALE_S`` (the old
+        lease TTL's default) belongs to a dead worker.
 
         Regression: heartbeat files were never aged, so `repro workers
         status` showed long-dead workers indistinguishably from live ones.
@@ -758,13 +704,12 @@ class TestObservability:
         from repro.parallel import collect_workers_status, format_workers_status
 
         store = ExperimentStore(tmp_path / "store")
-        board = LeaseBoard(store.root, "ns-stale", ttl=30.0)
-        board.write_plan({"names": ["fig7"], "nshards": 4, "lease_ttl": 30.0})
+        board = LeaseBoard(store.root, "ns-stale")
+        board.write_plan({"names": ["fig7"], "nshards": 4})
         board.beat("worker-0-gone")
         statuses = collect_workers_status(store)
-        assert statuses[0].ttl == 30.0
-        fresh = format_workers_status(statuses, now=time.time())
+        now = time.time()
+        fresh = format_workers_status(statuses, now=now + HEARTBEAT_STALE_S - 5.0)
         assert "STALE" not in fresh
-        aged = format_workers_status(statuses, now=time.time() + 100.0)
-        assert "STALE" in aged
-        assert "ttl 30s" in aged
+        aged = format_workers_status(statuses, now=now + HEARTBEAT_STALE_S + 5.0)
+        assert "STALE (no beat for" in aged and "> 120s)" in aged

@@ -30,10 +30,11 @@ class TestFromEnv:
             ServerConfig.from_env()
 
     def test_import_does_not_read_the_lease_ttl(self):
-        """Defining ``ServerConfig`` must not resolve ``$REPRO_LEASE_TTL``.
+        """A leftover ``$REPRO_LEASE_TTL`` must not break ``import repro.server``.
 
-        Regression: a field default called ``resolve_lease_ttl`` when the
-        class was defined, so a bad TTL broke ``import repro.server``.
+        Regression: a field default resolved the variable when the class was
+        defined, so a bad TTL broke the import.  Nothing reads it any more
+        (claims never expire), so any setting must stay harmless.
         """
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), REPRO_LEASE_TTL="-1")
         completed = subprocess.run(

@@ -350,7 +350,7 @@ class TestArtifacts:
 
 class TestWorkersEndpoint:
     def test_namespace_state_is_rendered_as_json(self, core, store):
-        board = LeaseBoard(store.root, "ns-http", ttl=30.0)
+        board = LeaseBoard(store.root, "ns-http")
         board.claim(3, "worker-a")
         board.mark_done(1, "worker-a")
         board.beat("worker-a", computed=5)
@@ -358,6 +358,8 @@ class TestWorkersEndpoint:
         namespace = document["namespaces"][0]
         assert namespace["namespace"] == "ns-http"
         assert namespace["shards_done"] == [1]
-        assert [lease["shard"] for lease in namespace["leases"]] == [3]
+        [lease] = namespace["leases"]
+        assert lease["shard"] == 3 and lease["owner"] == "worker-a"
+        assert 0.0 <= lease["age"] < 60.0 and lease["torn"] is False
         assert namespace["heartbeats"][0]["owner"] == "worker-a"
         assert namespace["heartbeats"][0]["stale"] is False

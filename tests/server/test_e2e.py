@@ -167,7 +167,8 @@ def test_health_workers_and_artifacts_endpoints(server):
 
 def raw_exchange(server, head, timeout=2.0):
     """Send raw request bytes, keep the client side open, and return the
-    status and body the server answers with within ``timeout`` seconds."""
+    status, headers and body the server answers with within ``timeout``
+    seconds."""
     received = b""
     with socket.create_connection(server.address, timeout=timeout) as sock:
         sock.sendall(head)
@@ -175,13 +176,17 @@ def raw_exchange(server, head, timeout=2.0):
         while chunk := sock.recv(65536):
             received += chunk
     status_line, _, rest = received.partition(b"\r\n")
-    return int(status_line.split()[1]), rest.partition(b"\r\n\r\n")[2]
+    header_block, _, body = rest.partition(b"\r\n\r\n")
+    headers = dict(
+        line.decode("latin-1").split(": ", 1) for line in header_block.split(b"\r\n")
+    )
+    return int(status_line.split()[1]), headers, body
 
 
 @pytest.mark.parametrize("length", ["abc", "-1", "-5"])
 def test_malformed_content_length_is_a_400_at_once(server, length):
     head = f"POST /sweeps HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n"
-    status, body = raw_exchange(server, head.encode())
+    status, _, body = raw_exchange(server, head.encode())
     assert status == 400
     assert "Content-Length" in json.loads(body)["error"]
 
@@ -194,7 +199,26 @@ def test_chunked_body_is_a_411_and_submits_nothing(server):
         + f"{len(payload):x}\r\n".encode() + payload + b"\r\n0\r\n\r\n"
     )
     jobs_before = len(server.core.queue.jobs())
-    status, body = raw_exchange(server, head)
+    status, _, body = raw_exchange(server, head)
     assert status == 411
     assert "Content-Length" in json.loads(body)["error"]
     assert len(server.core.queue.jobs()) == jobs_before
+
+
+@pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH", "OPTIONS"])
+def test_every_method_gets_the_cores_json_answer(server, method):
+    """A method the core does not route is its JSON 404, not an HTML 501."""
+    head = f"{method} /sweeps HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+    status, headers, body = raw_exchange(server, head.encode())
+    assert status == 404
+    assert headers["Content-Type"] == "application/json"
+    assert json.loads(body) == {"error": f"no route for {method} /sweeps"}
+
+
+def test_head_gets_the_cores_status_and_headers_without_a_body(server):
+    expected = server.core.handle("HEAD", "/healthz")
+    status, headers, body = raw_exchange(server, b"HEAD /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+    assert status == expected.status
+    assert headers["Content-Type"] == expected.content_type
+    assert headers["Content-Length"] == str(len(expected.body))
+    assert body == b""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import sys
 import tempfile
 import threading
 
@@ -15,8 +14,7 @@ from repro.server.app import StdlibServer
 
 @pytest.fixture
 def created_dirs(monkeypatch):
-    """Run ``serve()`` on the stdlib path for 0.2 s; record every ``mkdtemp``."""
-    monkeypatch.setitem(sys.modules, "uvicorn", None)
+    """Run ``serve()`` for 0.2 s; record every ``mkdtemp``."""
 
     def serve_briefly(self):
         # The real loop must run: stop() calls httpd.shutdown(), which waits

@@ -1,11 +1,10 @@
 """Tests for the filesystem recipes under the store and the leases.
 
 Every correctness argument of the store and of the lease protocol rests on
-three recipes: :func:`repro.store.store.atomic_write_bytes` publishes a
-complete file under its final name (tmp + fsync + rename), while
-:func:`repro.store.leases.create_exclusive` (``O_CREAT | O_EXCL``) and the
-``mkdir`` lock of :func:`repro.store.leases.acquire_lock` each admit exactly
-one of any number of racing callers.
+two recipes: :func:`repro.store.store.atomic_write_bytes` publishes a
+complete file under its final name (tmp + fsync + rename), and
+:func:`repro.store.leases.create_exclusive` (``O_CREAT | O_EXCL``) admits
+exactly one of any number of racing callers.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from threading import Barrier
 
 from repro.store import atomic_write_bytes
-from repro.store.leases import LeaseBoard, acquire_lock, create_exclusive, release_lock
+from repro.store.leases import LeaseBoard, create_exclusive
 
 
 class TestAtomicWrite:
@@ -51,23 +50,16 @@ class TestCreateExclusive:
         assert [p.name for p in tmp_path.iterdir()] == ["slot"]
 
 
-class TestLock:
-    def test_lock_is_exclusive_until_released(self, tmp_path):
-        lock = tmp_path / "shard-0.mutex"
-        assert acquire_lock(lock)
-        assert not acquire_lock(lock)
-        release_lock(lock)
-        assert acquire_lock(lock)
-
-
 class TestLeaseBoard:
     def test_full_lease_lifecycle(self, tmp_path):
-        board = LeaseBoard(tmp_path / "store", "plan", ttl=30.0)
+        board = LeaseBoard(tmp_path / "store", "plan")
         assert board.claim(1, "alice")
         assert not board.claim(1, "bob")
-        assert board.renew(1, "alice")
+        claim = json.loads(board.lease_path(1).read_text())
+        assert set(claim) == {"shard", "owner", "acquired"}
         board.mark_done(1, "alice")
         assert board.is_done(1)
+        assert not board.lease_path(1).exists()
         assert not board.claim(1, "bob")
-        lease = json.loads(board.done_path(1).read_text())
-        assert lease["owner"] == "alice"
+        done = json.loads(board.done_path(1).read_text())
+        assert done["owner"] == "alice"

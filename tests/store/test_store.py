@@ -162,22 +162,22 @@ class TestMaintenance:
         assert store.get("k", FP) == {"v": 1}
 
     def test_gc_prunes_stale_heartbeats_per_namespace_ttl(self, store):
-        """gc drops dead workers' heartbeat records, judged by each
-        namespace's own lease TTL (from its plan manifest).
+        """gc drops dead workers' heartbeat records: those with no beat for
+        over ``HEARTBEAT_STALE_S``, in every namespace.
 
-        Regression: heartbeat files were never pruned, so every crashed or
-        interrupted sweep's workers haunted `repro workers status` forever.
+        Regression: heartbeat files were never pruned, so the workers of
+        every run killed outright haunted `repro workers status` forever.
         """
         import os
 
-        from repro.store import LeaseBoard
+        from repro.store import HEARTBEAT_STALE_S, LeaseBoard
 
-        board = LeaseBoard(store.root, "crashed-run", ttl=30.0)
-        board.write_plan({"names": ["fig7"], "nshards": 4, "lease_ttl": 5.0})
+        board = LeaseBoard(store.root, "crashed-run")
+        board.write_plan({"names": ["fig7"], "nshards": 4})
         board.beat("worker-0-dead")
         board.beat("worker-1-live")
         dead = board.heartbeat_path("worker-0-dead")
-        stale_at = time.time() - 60.0
+        stale_at = time.time() - HEARTBEAT_STALE_S - 60.0
         os.utime(dead, (stale_at, stale_at))
         # Age the record's own beat field too (pruning reads it first).
         record = json.loads(dead.read_text())
@@ -192,7 +192,7 @@ class TestMaintenance:
     def test_gc_removes_namespaces_left_empty_by_pruning(self, store):
         from repro.store import LeaseBoard
 
-        board = LeaseBoard(store.root, "long-gone", ttl=30.0)
+        board = LeaseBoard(store.root, "long-gone")
         board.beat("worker-0")
         record_path = board.heartbeat_path("worker-0")
         record = json.loads(record_path.read_text())

@@ -255,7 +255,7 @@ class TestStoreCli:
         from repro.store import LeaseBoard
 
         store_dir = tmp_path / "store"
-        board = LeaseBoard(store_dir, "crashed-run", ttl=30.0)
+        board = LeaseBoard(store_dir, "crashed-run")
         board.beat("worker-0")
         record_path = board.heartbeat_path("worker-0")
         record = json.loads(record_path.read_text())
@@ -361,16 +361,6 @@ class TestWorkersCli:
             main(["table1"])
         assert "REPRO_WORKERS" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("ttl", ["abc", "-1", "nan"])
-    def test_invalid_env_lease_ttl_is_a_usage_error(self, tmp_path, capsys, monkeypatch, ttl):
-        monkeypatch.setenv("REPRO_LEASE_TTL", ttl)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--store", str(tmp_path / "s"), "--workers", "2", "fig7"])
-        assert excinfo.value.code == 2
-        captured = capsys.readouterr()
-        assert "$REPRO_LEASE_TTL" in captured.err
-        assert captured.out == ""
-
     def test_shard_with_workers_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main([
@@ -386,13 +376,12 @@ class TestWorkersStatusCli:
     def _seed_namespace(self, store_dir):
         from repro.store.leases import LeaseBoard
 
-        board = LeaseBoard(store_dir, "report", ttl=300.0)
+        board = LeaseBoard(store_dir, "report")
         board.write_plan({
             "names": ["fig6", "fig7"],
             "nshards": 4,
             "backend": "numpy",
             "workers": 2,
-            "lease_ttl": 300.0,
         })
         assert board.claim(0, "worker-0")
         assert board.claim(2, "worker-1")
@@ -418,7 +407,7 @@ class TestWorkersStatusCli:
 
         store_dir = str(tmp_path / "store")
         self._seed_namespace(store_dir)
-        other = LeaseBoard(store_dir, "fig9", ttl=300.0)
+        other = LeaseBoard(store_dir, "fig9")
         assert other.claim(0, "solo")
         assert main(["--store", store_dir, "workers", "status", "--namespace", "fig9"]) == 0
         out = capsys.readouterr().out
